@@ -82,11 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="run the generic engine loop instead "
                               "of the per-policy specialized one "
                               "(results are byte-identical)")
-    analyze.add_argument("--codegen", choices=["on", "off"],
-                         default="on",
-                         help="generated per-node step source for "
-                              "covered policies (default on; "
-                              "results are byte-identical)")
     analyze.add_argument("--cache", action="store_true",
                          help="reuse/persist results in the default "
                               "cache dir (~/.cache/repro)")
@@ -153,10 +148,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "matrix (default on)")
     bench.add_argument("--no-specialize", action="store_true",
                        help="shorthand for --specialize off")
-    bench.add_argument("--codegen", default=None, metavar="MODES",
-                       help="comma-separated codegen modes to "
-                            "bench: on, off or on,off for a "
-                            "before/after matrix (default on)")
     bench.add_argument("--repeat", type=int, default=1,
                        help="run each cell N times and report the "
                             "fastest (min-of-N; default 1)")
@@ -212,11 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-specialize", action="store_true",
                        help="run every job on the generic engine "
                             "loop (results are byte-identical)")
-    serve.add_argument("--codegen", choices=["on", "off"],
-                       default="on",
-                       help="generated step source on the worker "
-                            "fleet (default on; off pins every job "
-                            "to the compiled loops)")
     serve.add_argument("--ready-file", default=None,
                        help="write the bound endpoint (host:port or "
                             "socket path) here once listening")
@@ -293,11 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--no-specialize", action="store_true",
                         help="ask for the generic engine loop "
                              "(results are byte-identical)")
-    submit.add_argument("--codegen", choices=["on", "off"],
-                        default="on",
-                        help="ask for generated step source "
-                             "(default on; results are "
-                             "byte-identical)")
     submit.add_argument("--session", action="store_true",
                         help="open a warm analysis session on the "
                              "worker (prints its id on stderr for "
@@ -420,8 +401,7 @@ def _cmd_analyze(args) -> int:
                    analysis=args.analysis, context=args.context,
                    simplify=args.simplify, report=args.report,
                    values=args.values, timeout=args.timeout,
-                   specialize=not args.no_specialize,
-                   codegen=args.codegen == "on").validate()
+                   specialize=not args.no_specialize).validate()
     cache = open_cache(args.cache_dir, args.cache or args.cache_dir)
     if args.cache_dir:
         # Keep generated modules beside the relocated result cache.
@@ -523,7 +503,6 @@ def _cmd_bench(args) -> int:
             "--no-specialize conflicts with --specialize; pass one")
     specialize_modes = ["off"] if args.no_specialize \
         else (args.specialize or "on").split(",")
-    codegen_modes = (args.codegen or "on").split(",")
     obj_depths = None
     if args.obj_depth is not None:
         try:
@@ -588,7 +567,6 @@ def _cmd_bench(args) -> int:
     tasks = build_matrix(programs, analyses, contexts, copies=copies,
                          timeout=timeout, values=values,
                          specialize=specialize_modes,
-                         codegen=codegen_modes,
                          obj_depths=obj_depths, repeat=args.repeat)
     if not tasks:
         print("error: empty benchmark matrix", file=sys.stderr)
@@ -598,14 +576,12 @@ def _cmd_bench(args) -> int:
         if len(values) > 1 else ""
     engine_axis = f" x {len(specialize_modes)} engine paths" \
         if len(specialize_modes) > 1 else ""
-    codegen_axis = f" x {len(codegen_modes)} codegen modes" \
-        if len(codegen_modes) > 1 else ""
     obj_axis = f" x {len(obj_depths)} obj depths" \
         if obj_depths is not None and len(obj_depths) > 1 else ""
     print(f"bench: {len(tasks)} tasks "
           f"({len(programs)} programs x {len(analyses)} analyses "
           f"x {len(contexts)} contexts{values_axis}{engine_axis}"
-          f"{codegen_axis}{obj_axis})", file=sys.stderr)
+          f"{obj_axis})", file=sys.stderr)
     report = run_batch(
         tasks, jobs=args.jobs, serial=args.serial, cache=cache,
         progress=lambda line: print(line, file=sys.stderr, flush=True))
@@ -639,7 +615,6 @@ def _cmd_serve(args) -> int:
         workers=args.workers, cache=cache,
         default_timeout=args.job_timeout,
         specialize=not args.no_specialize,
-        codegen=args.codegen == "on",
         codegen_dir=codegen_dir,
         max_queue=args.max_queue).start()
     print(f"serving on {server.endpoint} "
@@ -754,7 +729,6 @@ def _cmd_submit(args) -> int:
             report=args.report, values=args.values,
             timeout=args.timeout,
             specialize=not args.no_specialize,
-            codegen=args.codegen == "on",
             session=args.session, on_event=_event_printer(args))
     if final.get("status") == "ok":
         sys.stdout.write(final["stdout"])

@@ -1,13 +1,15 @@
 """Source-level codegen: emitted step loops + bit-parallel transfer.
 
-One rung past :mod:`repro.analysis.specialize`.  The specializer
-builds a closure per call node at its first step; this module walks
-the whole compiled program **ahead of time** and emits actual Python
-source — one step function per labeled node, with addresses, labels,
-primitive kinds, constructor wiring and successor plans inlined as
-literals — which is ``exec``'d into a module and driven unchanged by
-the inlined single-store loop in :mod:`repro.analysis.engine`.
-Generated modules are content-addressed and cached on disk
+The fast tier for the kinds where emitting source pays (see
+:func:`repro.analysis.specialize.specialize_machine`, the one place
+that picks a kind's loop).  Rather than building a closure per call
+node at its first step, this module walks the whole compiled program
+**ahead of time** and emits actual Python source — one step function
+per labeled node, with addresses, labels, primitive kinds,
+constructor wiring and successor plans inlined as literals — which is
+``exec``'d into a module and driven unchanged by the inlined
+single-store loop in :mod:`repro.analysis.engine`.  Generated modules
+are content-addressed and cached on disk
 (:class:`~repro.cache.CodegenCache`), so the emission walk is paid
 once per ``(schema, kind, program)`` and the fleet's session/edit
 traffic reuses it like compiled programs.
@@ -15,43 +17,36 @@ traffic reuses it like compiled programs.
 Covered kinds
 -------------
 
-* ``zero-flat`` — flat environments under a context-free allocator
-  (0CFA; m-CFA and poly-k-CFA at depth 0).
 * ``flat`` — flat environments at depth ≥ 1: straight-line bodies
   with the allocator and the §5.2 copy loop inlined.  Addresses
   depend on the run-time environment, so there is no constant-address
   folding — instead each apply node memoizes a per-(environment,
   operator) *plan* (allocation, record hooks, copy-loop sources and
-  targets resolved once) and runs the same packed-shadow bit-parallel
-  transfer over the plan's targets as the context-free kinds.
+  targets resolved once) and runs a packed-shadow bit-parallel
+  transfer over the plan's targets.
 * ``zero-fj-flat`` — the flat FJ machine under a receiver-insensitive
   context-free policy (``fj-poly`` at k = 0).
 
-Declined, deliberately (their specs register ``codegen=False``):
-
-* shared environments (the k-CFA family) — addresses are
-  ``(name, context)`` with run-time contexts and the binding
-  environments are per-configuration, so there are no constants to
-  inline beyond what :class:`CompiledSharedKernel` already pre-binds;
-* the pushdown-summary rep — declined for the same reasons the
-  specializer documents (entry environments depend on run-time
-  argument signatures);
-* the naive §3.6 driver (``kcfa-naive``, ``kcfa-gc``, ``fj-kcfa-gc``)
-  — per-state frozen stores, shared envs, and the driver itself is
-  the object of study;
-* the map-based ``fj-kcfa`` machine and the receiver-sensitive flat
-  FJ policies (``fj-mcfa``, ``fj-hybrid``, ``fj-obj``) — per-receiver
-  times mean per-statement addresses are not compile-time constants.
+Everything else runs another loop.  Flat environments under a
+context-free allocator (0CFA; m-CFA and poly-k-CFA at depth 0) run
+:class:`~repro.analysis.specialize.ZeroFlatKernel`: its fixpoint is
+as fast as emitted source, and it pays no generate/``compile`` cost
+on a cold run.  Shared environments run
+:class:`~repro.analysis.specialize.CompiledSharedKernel` (addresses
+are ``(name, context)`` with run-time contexts, so there is nothing
+to inline beyond what it pre-binds).  The pushdown rep, the naive
+§3.6 drivers, the map-based ``fj-kcfa`` machine and the
+receiver-sensitive flat FJ policies run generic.
 
 Bit-parallel transfer
 ---------------------
 
-For the mask-native context-free kinds every join target is a
-compile-time constant, so a successor's parameter block is a
-*contiguous address range* known at emission time.  Each generated
-apply/invoke entry keeps a **packed shadow**: the parameter masks
-side by side in one big int, one lane per address.  A step batches
-its per-address ``|=`` joins into a single multi-word operation::
+For ``zero-fj-flat`` every join target is a compile-time constant, so
+a successor's parameter block is a *contiguous address range* known
+at emission time.  Each generated invoke entry keeps a **packed
+shadow**: the parameter masks side by side in one big int, one lane
+per address.  A step batches its per-address ``|=`` joins into a
+single multi-word operation::
 
     packed = m0 | (m1 << width) | (m2 << (2 * width))
     merged = shadow | packed
@@ -83,10 +78,9 @@ Cache key
 ---------
 
 ``sha256({schema, kind, program fingerprint})``.  The *kind string is
-the whole policy spec*: emitted source for ``zero-flat`` folds every
-context to ``()`` regardless of which context-free allocator produced
-it, and ``flat`` source calls the allocator at run time — so depth
-and shape provably do not appear in the text.  The program
+the whole policy spec*: ``flat`` source calls the allocator at run
+time, and ``zero-fj-flat`` source folds every time to ``()`` — so
+depth and shape provably do not appear in the text.  The program
 fingerprint hashes the labeled AST's repr (dataclass reprs are
 content-complete, labels included).
 """
@@ -97,7 +91,7 @@ import hashlib
 import json
 
 from repro.analysis.domains import FClo, abstract_literal
-from repro.analysis.kernel import FConfig, FlatEnv, Kernel
+from repro.analysis.kernel import FlatEnv, Kernel
 from repro.cache import (
     CODEGEN_SCHEMA_VERSION, CodegenCache, default_codegen_dir,
 )
@@ -117,7 +111,7 @@ MISSING = object()
 _EMPTY = ()
 
 #: The kinds :func:`generate_source` knows how to emit.
-CODEGEN_KINDS = ("zero-flat", "flat", "zero-fj-flat")
+CODEGEN_KINDS = ("flat", "zero-fj-flat")
 
 
 # -- keys and the process-default cache --------------------------------
@@ -181,11 +175,9 @@ def set_default_codegen_cache(cache: CodegenCache | None) -> None:
     _DEFAULT_CACHE = cache
 
 
-def _module_for(program, kind: str, cache: CodegenCache | None) -> dict:
-    if cache is None:
-        cache = default_codegen_cache()
+def _module_for(program, kind: str) -> dict:
     key = codegen_key(program, kind)
-    return cache.module_for(
+    return default_codegen_cache().module_for(
         key, lambda: generate_source(program, kind, key))
 
 
@@ -194,10 +186,8 @@ def generate_source(program, kind: str, key: str | None = None) -> str:
     *kind* (exposed for tests and offline inspection)."""
     if key is None:
         key = codegen_key(program, kind)
-    if kind == "zero-flat":
-        return _emit_scheme(program, key, zero=True)
     if kind == "flat":
-        return _emit_scheme(program, key, zero=False)
+        return _emit_scheme(program, key)
     if kind == "zero-fj-flat":
         return _emit_fj(program, key)
     raise ValueError(f"unknown codegen kind {kind!r}")
@@ -214,37 +204,6 @@ def lit_bit(K, exp):
         bit = K.table.bit_for(abstract_literal(exp.datum))
         K._lit_bits[id(exp)] = bit
     return bit
-
-
-def const_bit(K, exp):
-    """A context-free constant atom's bit (closure or literal)."""
-    if type(exp) is Lam:
-        return K.table.bit_for(FClo(exp, _EMPTY))
-    return lit_bit(K, exp)
-
-
-def entry_maker(K, label, nargs):
-    """The context-free per-operator apply plan, against the machine's
-    shared per-lambda structure cache — mirrors
-    ``ZeroFlatKernel._entry_maker`` exactly (including the
-    record-on-first-sight point)."""
-    lam_plans = K._lam_plans
-
-    def entry_for(operator, recorder):
-        if type(operator) is not FClo:
-            return None
-        lam = operator.lam
-        if len(lam.params) != nargs:
-            return None
-        recorder.record_apply(label, lam, _EMPTY)
-        entry = lam_plans.get(lam.label)
-        if entry is None:
-            entry = (FConfig(lam.body, _EMPTY),
-                     tuple([(param, _EMPTY)
-                            for param in lam.params]))
-            lam_plans[lam.label] = entry
-        return entry
-    return entry_for
 
 
 def enter_info(operator, nargs):
@@ -353,31 +312,19 @@ def flat_transfer(shadow, masks, targets, succ, succs):
 # -- machines ----------------------------------------------------------
 
 class CodegenFlatKernel(Kernel):
-    """A kernel whose step dispatch is a dict of generated functions,
-    one per call label, installed as self-replacing stubs at boot so
-    each node's binder still runs lazily at its first step (interning
-    order — see the specializer's laziness note)."""
+    """A flat-env kernel at depth ≥ 1 whose step dispatch is a dict of
+    generated functions, one per call label, installed as
+    self-replacing stubs at boot so each node's binder still runs
+    lazily at its first step (interning order — see the specializer's
+    laziness note)."""
 
     stage = "codegen"
-
-    def __init__(self, program, rep, kind: str,
-                 cache: CodegenCache | None = None):
-        super().__init__(program, rep)
-        self.specialization = kind  # "zero-flat" | "flat"
-        self._cache = cache
+    specialization = "flat"
 
     def boot(self, store):
         config = super().boot(store)
-        if self.specialization == "zero-flat":
-            plans = getattr(self.program, "_codegen_lam_plans", None)
-            if plans is None:
-                plans = {}
-                self.program._codegen_lam_plans = plans
-            self._lam_plans = plans
         steps: dict = {}
-        module = _module_for(self.program, self.specialization,
-                             self._cache)
-        module["build"](self, steps)
+        _module_for(self.program, "flat")["build"](self, steps)
         self._steps = steps
         return config
 
@@ -387,28 +334,24 @@ class CodegenFlatKernel(Kernel):
 
 
 class CodegenFJFlatMachine:
-    """The generated-source mirror of ``ZeroFJFlatMachine``: delegates
-    boot/seeding to the generic flat FJ machine, dispatches steps
-    through the generated per-statement table."""
+    """The flat FJ machine under a receiver-insensitive context-free
+    policy: delegates boot/seeding to the generic flat FJ machine,
+    dispatches steps through the generated per-statement table."""
 
     stage = "codegen"
     specialization = "zero-fj-flat"
 
-    def __init__(self, program, policy,
-                 cache: CodegenCache | None = None):
+    def __init__(self, program, policy):
         from repro.fj.poly import FJFlatMachine
         self.program = program
         self.policy = policy
         self._generic = FJFlatMachine(program, policy)
-        self._cache = cache
 
     def boot(self, store):
         config = self._generic.boot(store)
         self.table = self._generic.table
         steps: dict = {}
-        module = _module_for(self.program, "zero-fj-flat",
-                             self._cache)
-        module["build"](self, steps)
+        _module_for(self.program, "zero-fj-flat")["build"](self, steps)
         self._steps = steps
         return config
 
@@ -417,33 +360,33 @@ class CodegenFJFlatMachine:
             config, store, reads, recorder)
 
 
-def codegen_machine(machine, cache: CodegenCache | None = None):
-    """The codegen stage's dispatch: a generated-source machine for
-    *machine*'s policy, or ``None`` when the policy is declined (see
-    the module docstring's coverage list).
+def codegen_machine(machine):
+    """A generated-source machine for *machine*'s policy, or ``None``
+    when the policy is not a codegen kind (see the module docstring's
+    coverage list).  :func:`~repro.analysis.specialize.
+    specialize_machine` is the one caller.
 
     Declines on the spot (memoizing the probe) when the program is
     too deeply nested to fingerprint — ``repr`` of a dataclass AST
     recurses, and a pathologically deep term would blow the stack at
     boot.  Codegen must never make an analysis fail; such programs
-    fall back to the specialized tier."""
+    run the generic machine."""
     from repro.fj.poly import FJFlatMachine
     if isinstance(machine, Kernel):
         rep = machine.rep
-        if isinstance(rep, FlatEnv):
-            try:
-                program_fingerprint(machine.program)
-            except RecursionError:
-                return None
-            kind = "zero-flat" \
-                if getattr(rep.alloc, "context_free", False) else "flat"
-            return CodegenFlatKernel(machine.program, rep, kind, cache)
-        return None
+        if not isinstance(rep, FlatEnv) \
+                or getattr(rep.alloc, "context_free", False):
+            return None
+        try:
+            program_fingerprint(machine.program)
+        except RecursionError:
+            return None
+        return CodegenFlatKernel(machine.program, rep)
     if isinstance(machine, FJFlatMachine):
         policy = machine.policy
         if getattr(policy, "context_free", False) \
                 and not policy.receiver_sensitive:
-            return CodegenFJFlatMachine(machine.program, policy, cache)
+            return CodegenFJFlatMachine(machine.program, policy)
     return None
 
 
@@ -462,11 +405,6 @@ class _Writer:
 
     def text(self) -> str:
         return "\n".join(self.lines) + "\n"
-
-
-def _zaddr(name) -> str:
-    """The literal of a context-free address ``(name, ())``."""
-    return repr((name, _EMPTY))
 
 
 def _pack_expr(names) -> str:
@@ -496,18 +434,6 @@ def _emit_lane_diff(w: _Writer, ind: int, names, targets):
     (expression per lane), compare once against ``shadow``, emit only
     grown lanes.  Assumes ``succ``/``shadow``/``succs`` in scope and
     runs inside a loop (uses ``continue``)."""
-    if len(names) == 1:
-        w.w(ind, f"merged = shadow[0] | {names[0]}")
-        w.w(ind, "if merged == shadow[0]:")
-        w.w(ind + 1, "if not shadow[3]:")
-        w.w(ind + 2, "shadow[3] = True")
-        w.w(ind + 2, "succs.append((succ, ()))")
-        w.w(ind + 1, "continue")
-        w.w(ind, "shadow[0] = merged")
-        w.w(ind, "shadow[3] = True")
-        w.w(ind, f"succs.append((succ, (({targets[0]}, "
-                 f"{names[0]}),)))")
-        return
     w.w(ind, "width = shadow[1]")
     w.w(ind, f"if {_widen_cond(names)}:")
     w.w(ind + 1, f"widen_shadow(shadow, ({', '.join(names)}))")
@@ -563,26 +489,25 @@ def _emit_build(w: _Writer, labels):
 
 _SCHEME_IMPORTS = (
     "from repro.analysis.codegen import (",
-    "    MISSING, const_bit, enter_info, entry_maker, flat_transfer,",
-    "    lit_bit, new_shadow, prim_enter_info, widen_shadow,",
+    "    MISSING, enter_info, flat_transfer, lit_bit, new_shadow,",
+    "    prim_enter_info,",
     ")",
     "from repro.analysis.domains import APair, BASIC, FClo",
     "from repro.analysis.kernel import FConfig",
 )
 
 
-def _emit_scheme(program, key: str, zero: bool) -> str:
+def _emit_scheme(program, key: str) -> str:
     w = _Writer()
-    _module_head(w, key, "zero-flat" if zero else "flat",
-                 _SCHEME_IMPORTS)
+    _module_head(w, key, "flat", _SCHEME_IMPORTS)
     labels = sorted(program.calls_by_label)
     _emit_build(w, labels)
     emitters = {
-        AppCall: _z_app if zero else _f_app,
-        IfCall: _z_if if zero else _f_if,
-        PrimCall: _z_prim if zero else _f_prim,
-        FixCall: _z_fix if zero else _f_fix,
-        HaltCall: _z_halt if zero else _f_halt,
+        AppCall: _f_app,
+        IfCall: _f_if,
+        PrimCall: _f_prim,
+        FixCall: _f_fix,
+        HaltCall: _f_halt,
     }
     for label in labels:
         call = program.calls_by_label[label]
@@ -595,320 +520,6 @@ def _emit_scheme(program, key: str, zero: bool) -> str:
         w.w(1, "table = K.table")
         emitter(w, call)
     return w.text()
-
-
-def _z_app(w: _Writer, call):
-    label = call.label
-    args = call.args
-    nargs = len(args)
-    atoms = (call.fn, *args)
-    read_addrs = tuple([(exp.name, _EMPTY) for exp in atoms
-                        if type(exp) is Ref])
-    names = [f"m{i}" for i in range(nargs)]
-    w.w(1, "basic = K._basic")
-    w.w(1, "entries = {}")
-    w.w(1, f"entry_for = entry_maker(K, {label}, {nargs})")
-    if read_addrs:
-        w.w(1, "recorded = []")
-    # Constant bits intern in evaluation order: fn first, then args.
-    if type(call.fn) is not Ref:
-        w.w(1, "c_fn = const_bit(K, call.fn)")
-    for i, arg in enumerate(args):
-        if type(arg) is not Ref:
-            w.w(1, f"c{i} = const_bit(K, call.args[{i}])")
-
-    def body(ind: int, interned: bool):
-        w.w(ind, "")
-        w.w(ind, "def step(config, store, reads, recorder):")
-        b = ind + 1
-        if read_addrs:
-            w.w(b, "if not recorded:")
-            w.w(b + 1, "recorded.append(True)")
-            w.w(b + 1, f"reads.update({read_addrs!r})")
-        if read_addrs:
-            w.w(b, "get_mask = store.get_mask")
-        if type(call.fn) is Ref:
-            w.w(b, f"operators = get_mask({_zaddr(call.fn.name)})")
-        else:
-            w.w(b, "operators = c_fn")
-        w.w(b, "if operators & basic:")
-        w.w(b + 1, f"recorder.unknown_operator.add({label})")
-        for i, arg in enumerate(args):
-            if type(arg) is Ref:
-                w.w(b, f"m{i} = get_mask({_zaddr(arg.name)})")
-            else:
-                w.w(b, f"m{i} = c{i}")
-        w.w(b, "succs = []")
-        if interned:
-            w.w(b, "mask = operators")
-            w.w(b, "while mask:")
-            l = b + 1
-            w.w(l, "low = mask & -mask")
-            w.w(l, "mask ^= low")
-            w.w(l, "entry = entries.get(low, MISSING)")
-            w.w(l, "if entry is MISSING:")
-            w.w(l + 1, "plan = entry_for("
-                       "values[low.bit_length() - 1], recorder)")
-            w.w(l + 1, "if plan is None:")
-            w.w(l + 2, "entry = None")
-            w.w(l + 1, "else:")
-            if nargs == 0:
-                w.w(l + 2, "entry = plan")
-            elif nargs == 1:
-                w.w(l + 2, "entry = (plan[0], plan[1][0], "
-                           "new_shadow(store, plan[1]))")
-            else:
-                w.w(l + 2, "entry = (plan[0], plan[1], "
-                           "new_shadow(store, plan[1]))")
-            w.w(l + 1, "entries[low] = entry")
-            w.w(l, "if entry is None:")
-            w.w(l + 1, "continue")
-            if nargs == 0:
-                w.w(l, "succs.append((entry[0], ()))")
-            elif nargs == 1:
-                w.w(l, "succ, param_addr, shadow = entry")
-                _emit_lane_diff(w, l, names, ["param_addr"])
-            else:
-                w.w(l, "succ, param_addrs, shadow = entry")
-                _emit_lane_diff(w, l, names,
-                                [f"param_addrs[{i}]"
-                                 for i in range(nargs)])
-        else:
-            w.w(b, "for operator in decode_iter(operators):")
-            l = b + 1
-            w.w(l, "key = id(operator)")
-            w.w(l, "entry = entries.get(key, MISSING)")
-            w.w(l, "if entry is MISSING:")
-            w.w(l + 1, "entry = entry_for(operator, recorder)")
-            w.w(l + 1, "entries[key] = entry")
-            w.w(l, "if entry is None:")
-            w.w(l + 1, "continue")
-            if nargs:
-                w.w(l, "succ, param_addrs = entry")
-                joins = ", ".join(f"(param_addrs[{i}], m{i})"
-                                  for i in range(nargs))
-                w.w(l, f"succs.append((succ, [{joins}]))")
-            else:
-                w.w(l, "succs.append((entry[0], []))")
-        w.w(b, "return succs")
-        w.w(ind, "return step")
-
-    w.w(1, "if table.interned:")
-    w.w(2, "values = table._values")
-    body(2, True)
-    w.w(1, "decode_iter = table.decode_iter")
-    body(1, False)
-
-
-def _z_if(w: _Writer, call):
-    w.w(1, "any_truthy = table.any_truthy")
-    w.w(1, "any_falsy = table.any_falsy")
-    w.w(1, "then_succ = (FConfig(call.then, ()), ())")
-    w.w(1, "else_succ = (FConfig(call.orelse, ()), ())")
-    if type(call.test) is Ref:
-        addr = _zaddr(call.test.name)
-        w.w(1, "recorded = []")
-        w.w(1, "")
-        w.w(1, "def step(config, store, reads, recorder):")
-        w.w(2, "if not recorded:")
-        w.w(3, "recorded.append(True)")
-        w.w(3, f"reads.add({addr})")
-        w.w(2, f"test = store.get_mask({addr})")
-        w.w(2, "succs = []")
-        w.w(2, "if any_truthy(test):")
-        w.w(3, "succs.append(then_succ)")
-        w.w(2, "if any_falsy(test):")
-        w.w(3, "succs.append(else_succ)")
-        w.w(2, "return succs")
-        w.w(1, "return step")
-        return
-    # Constant test: the branch decision is itself a constant.
-    w.w(1, "c_test = const_bit(K, call.test)")
-    w.w(1, "result = []")
-    w.w(1, "if any_truthy(c_test):")
-    w.w(2, "result.append(then_succ)")
-    w.w(1, "if any_falsy(c_test):")
-    w.w(2, "result.append(else_succ)")
-    w.w(1, "")
-    w.w(1, "def step(config, store, reads, recorder):")
-    w.w(2, "return result")
-    w.w(1, "return step")
-
-
-def _z_fix(w: _Writer, call):
-    w.w(1, "bit_for = table.bit_for")
-    w.w(1, "joins = tuple([((name, ()), bit_for(FClo(lam, ())))"
-           " for name, lam in call.bindings])")
-    w.w(1, "result = [(FConfig(call.body, ()), joins)]")
-    w.w(1, "")
-    w.w(1, "def step(config, store, reads, recorder):")
-    w.w(2, "return result")
-    w.w(1, "return step")
-
-
-def _z_halt(w: _Writer, call):
-    w.w(1, "decode = table.decode")
-    if type(call.arg) is Ref:
-        addr = _zaddr(call.arg.name)
-        w.w(1, "recorded = []")
-        w.w(1, "")
-        w.w(1, "def step(config, store, reads, recorder):")
-        w.w(2, "if not recorded:")
-        w.w(3, "recorded.append(True)")
-        w.w(3, f"reads.add({addr})")
-        w.w(2, f"recorder.halt_values |= decode(store.get_mask({addr}))")
-        w.w(2, "return []")
-        w.w(1, "return step")
-        return
-    w.w(1, "c_arg = const_bit(K, call.arg)")
-    w.w(1, "")
-    w.w(1, "def step(config, store, reads, recorder):")
-    w.w(2, "recorder.halt_values |= decode(c_arg)")
-    w.w(2, "return []")
-    w.w(1, "return step")
-
-
-def _z_prim(w: _Writer, call):
-    label = call.label
-    kind = lookup_primitive(call.op).kind
-    args = call.args
-    cont = call.cont
-    read_addrs = tuple([(arg.name, _EMPTY) for arg in args
-                        if type(arg) is Ref])
-    car_addr = (f"car@{label}", _EMPTY)
-    cdr_addr = (f"cdr@{label}", _EMPTY)
-    w.w(1, "basic = K._basic")
-    w.w(1, "entries = {}")
-    w.w(1, f"entry_for = entry_maker(K, {label}, 1)")
-    # Constant argument bits intern at bind, in evaluation order —
-    # even for error-kind primitives (mirrors _bind_atoms).
-    for i, arg in enumerate(args):
-        if type(arg) is not Ref:
-            w.w(1, f"c{i} = const_bit(K, call.args[{i}])")
-    if read_addrs:
-        w.w(1, "args_recorded = []")
-    if type(cont) is Ref:
-        w.w(1, "cont_recorded = []")
-    else:
-        w.w(1, "cont_cell = []")
-    if kind == "cons":
-        w.w(1, "pair_cell = []")
-        w.w(1, "self_succ = FConfig(call, ())")
-    w.w(1, "decode_iter = table.decode_iter")
-    if kind in ("car", "cdr"):
-        w.w(1, "empty = table.empty")
-
-    def body(ind: int, interned: bool):
-        w.w(ind, "")
-        w.w(ind, "def step(config, store, reads, recorder):")
-        b = ind + 1
-        if read_addrs:
-            w.w(b, "if not args_recorded:")
-            w.w(b + 1, "args_recorded.append(True)")
-            w.w(b + 1, f"reads.update({read_addrs!r})")
-        if kind == "error":
-            w.w(b, "return []")
-            w.w(ind, "return step")
-            return
-        if read_addrs or type(cont) is Ref or kind in ("car", "cdr"):
-            w.w(b, "get_mask = store.get_mask")
-        for i, arg in enumerate(args):
-            if type(arg) is Ref:
-                w.w(b, f"m{i} = get_mask({_zaddr(arg.name)})")
-            else:
-                w.w(b, f"m{i} = c{i}")
-        for i in range(len(args)):
-            w.w(b, f"if not m{i}:")
-            w.w(b + 1, "return []")
-        if kind == "basic":
-            w.w(b, "result = basic")
-        elif kind == "cons":
-            w.w(b, "if not pair_cell:")
-            w.w(b + 1, f"pair_cell.append(table.bit_for("
-                       f"APair({car_addr!r}, {cdr_addr!r})))")
-            w.w(b, "result = pair_cell[0]")
-        else:  # car / cdr — the one dynamic read set
-            w.w(b, "gathered = empty")
-            w.w(b, "for value in decode_iter(m0):")
-            w.w(b + 1, "if type(value) is APair:")
-            w.w(b + 2, f"addr = value.{kind}")
-            w.w(b + 2, "reads.add(addr)")
-            w.w(b + 2, "gathered |= get_mask(addr)")
-            w.w(b + 1, "elif value is BASIC:")
-            w.w(b + 2, "gathered |= basic")
-            w.w(b, "if not gathered:")
-            w.w(b + 1, "return []")
-            w.w(b, "result = gathered")
-        if type(cont) is Ref:
-            caddr = _zaddr(cont.name)
-            w.w(b, "if not cont_recorded:")
-            w.w(b + 1, "cont_recorded.append(True)")
-            w.w(b + 1, f"reads.add({caddr})")
-            w.w(b, f"conts = get_mask({caddr})")
-        else:
-            w.w(b, "if not cont_cell:")
-            w.w(b + 1, "cont_cell.append(const_bit(K, call.cont))")
-            w.w(b, "conts = cont_cell[0]")
-        w.w(b, "succs = []")
-        if interned:
-            if kind == "cons":
-                lanes = ["result", "m0", "m1"]
-                targets = ["param_addr", repr(car_addr),
-                           repr(cdr_addr)]
-                shadow_addrs = (f"(plan[1][0], {car_addr!r}, "
-                                f"{cdr_addr!r})")
-            else:
-                lanes = ["result"]
-                targets = ["param_addr"]
-                shadow_addrs = "plan[1]"
-            w.w(b, "mask = conts")
-            w.w(b, "while mask:")
-            l = b + 1
-            w.w(l, "low = mask & -mask")
-            w.w(l, "mask ^= low")
-            w.w(l, "entry = entries.get(low, MISSING)")
-            w.w(l, "if entry is MISSING:")
-            w.w(l + 1, "plan = entry_for("
-                       "values[low.bit_length() - 1], recorder)")
-            w.w(l + 1, "if plan is None:")
-            w.w(l + 2, "entry = None")
-            w.w(l + 1, "else:")
-            w.w(l + 2, f"entry = (plan[0], plan[1][0], "
-                       f"new_shadow(store, {shadow_addrs}))")
-            w.w(l + 1, "entries[low] = entry")
-            w.w(l, "if entry is None:")
-            w.w(l + 1, "continue")
-            w.w(l, "succ, param_addr, shadow = entry")
-            _emit_lane_diff(w, l, lanes, targets)
-        else:
-            w.w(b, "for operator in decode_iter(conts):")
-            l = b + 1
-            w.w(l, "key = id(operator)")
-            w.w(l, "entry = entries.get(key, MISSING)")
-            w.w(l, "if entry is MISSING:")
-            w.w(l + 1, "entry = entry_for(operator, recorder)")
-            w.w(l + 1, "if entry is not None:")
-            w.w(l + 2, "entry = (entry[0], entry[1][0])")
-            w.w(l + 1, "entries[key] = entry")
-            w.w(l, "if entry is None:")
-            w.w(l + 1, "continue")
-            if kind == "cons":
-                w.w(l, f"succs.append((entry[0], ((entry[1], result),"
-                       f" ({car_addr!r}, m0), ({cdr_addr!r}, m1))))")
-            else:
-                w.w(l, "succs.append((entry[0], "
-                       "((entry[1], result),)))")
-        if kind == "cons":
-            w.w(b, "if not succs:")
-            w.w(b + 1, f"succs.append((self_succ, (({car_addr!r}, m0),"
-                       f" ({cdr_addr!r}, m1))))")
-        w.w(b, "return succs")
-        w.w(ind, "return step")
-
-    w.w(1, "if table.interned:")
-    w.w(2, "values = table._values")
-    body(2, True)
-    body(1, False)
 
 
 def _f_atom_binder(w: _Writer, exp, cname: str, access: str):

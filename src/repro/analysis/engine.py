@@ -82,52 +82,29 @@ class Machine(Protocol):
 def specialize(machine: "Machine", enabled: bool = True) -> "Machine":
     """The per-policy specialization stage.
 
-    Given a generic machine, return the staged step loop its policy's
-    declared axes admit (:mod:`repro.analysis.specialize`): context-free
+    Given a generic machine, return the one fast step loop its
+    policy's declared axes admit
+    (:func:`repro.analysis.specialize.specialize_machine`): context-free
     flat policies get a fully folded kernel with no context tuples or
-    free-variable copy reads, shared-env policies get pre-bound address
-    constructors and a monomorphic eval/apply dispatch.  Falls back to
-    *machine* itself when nothing applies (or ``enabled`` is False —
-    the ``--no-specialize`` escape hatch).  Specialized machines are
+    free-variable copy reads, depth ≥ 1 flat policies and the
+    context-free flat FJ policy get generated source
+    (:mod:`repro.analysis.codegen`), shared-env policies get pre-bound
+    address constructors and a monomorphic eval/apply dispatch.  Falls
+    back to *machine* itself when nothing applies (or ``enabled`` is
+    False — the ``--no-specialize`` escape hatch).  Fast machines are
     trajectory-identical to their generic originals; the golden suite
     and ``tests/test_specialize.py`` gate that byte-for-byte.
+
+    Note: codegen steps may *omit* joins they prove cannot grow the
+    store, which the single-store driver cannot observe — except
+    through ``options.track``'s writers map.  Tracked runs (the
+    incremental sessions) always drive generic machines, so the two
+    never meet; keep it that way.
     """
     if not enabled:
         return machine
     from repro.analysis.specialize import specialize_machine
     return specialize_machine(machine) or machine
-
-
-def codegen_stage(machine: "Machine", enabled: bool = True,
-                  cache=None) -> "Machine | None":
-    """The source-level codegen stage, one rung past specialization.
-
-    Given a generic machine whose policy admits it
-    (:mod:`repro.analysis.codegen`: flat-env kernels, and the flat FJ
-    machine under a receiver-insensitive context-free policy), return
-    a machine that ``exec``-s *generated Python source* — one
-    straight-line step function per program node with addresses,
-    successor configurations and dispatch plans inlined as literals,
-    and (for the context-free kinds) bit-parallel transfer blocks that
-    collapse a successor's per-address joins into one packed-int
-    compare.  Returns ``None`` when the policy is not covered or
-    ``enabled`` is False — callers then fall back to
-    :func:`specialize`.  Codegen machines honor the same byte- and
-    trajectory-identity contract as specialized ones; *cache* is the
-    :class:`~repro.cache.CodegenCache` to draw generated modules from
-    (``None`` = the process default, on disk next to the result
-    cache).
-
-    Note: codegen steps may *omit* joins they prove cannot grow the
-    store, which the single-store driver cannot observe — except
-    through ``options.track``'s writers map.  Tracked runs (the
-    incremental sessions) always drive generic machines, so the
-    stages never meet; keep it that way.
-    """
-    if not enabled:
-        return None
-    from repro.analysis.codegen import codegen_machine
-    return codegen_machine(machine, cache)
 
 
 def machine_path(machine: "Machine") -> str:

@@ -23,8 +23,7 @@ from repro.util.budget import Budget
 def analyze_mcfa(program: Program, m: int = 1,
                  budget: Budget | None = None,
                  plain: bool = False,
-                 specialized: bool = True,
-                 codegen: bool = True) -> AnalysisResult:
+                 specialized: bool = True) -> AnalysisResult:
     """Run m-CFA to fixpoint.
 
     Complexity is polynomial in program size for any fixed m
@@ -34,5 +33,4 @@ def analyze_mcfa(program: Program, m: int = 1,
     if m < 0:
         raise UsageError(f"m must be non-negative, got {m}")
     return analyze_flat(program, mcfa_allocator(m), "m-CFA", m, budget,
-                        plain=plain, specialized=specialized,
-                        codegen=codegen)
+                        plain=plain, specialized=specialized)

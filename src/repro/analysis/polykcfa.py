@@ -21,11 +21,10 @@ from repro.util.budget import Budget
 def analyze_poly_kcfa(program: Program, k: int = 1,
                       budget: Budget | None = None,
                       plain: bool = False,
-                      specialized: bool = True,
-                      codegen: bool = True) -> AnalysisResult:
+                      specialized: bool = True) -> AnalysisResult:
     """Run naive polynomial k-CFA to fixpoint."""
     if k < 0:
         raise UsageError(f"k must be non-negative, got {k}")
     return analyze_flat(program, poly_kcfa_allocator(k),
                         "poly-k-CFA", k, budget, plain=plain,
-                        specialized=specialized, codegen=codegen)
+                        specialized=specialized)

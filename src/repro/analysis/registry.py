@@ -36,19 +36,17 @@ class AnalysisSpec:
     against (``shared-history``, ``flat-stack``, ``flat-history``,
     ``summary-stack`` for Scheme; ``fj`` for Featherweight Java).
 
-    ``specialized`` is the registry's specialization knob: with it on
-    (the default) runs go through the per-policy specialization stage
-    (:mod:`repro.analysis.specialize`) — byte-identical to the generic
-    step loop, gated by the golden and differential suites.  Specs
-    whose engine the specializer does not cover (the naive §3.6
-    drivers) register ``specialized=False``.  ``codegen`` is the rung
-    above: generated-source step loops with bit-parallel transfer
-    (:mod:`repro.analysis.codegen`), same byte-identity contract, only
-    meaningful where ``specialized`` is — specs whose policy the
-    emitter declines (shared envs, pushdown, receiver-sensitive flat
-    FJ) register ``codegen=False``.  ``takes_obj_depth`` marks the
-    hybrid ladder: only those specs accept the bench ``--obj-depth``
-    axis.
+    ``specialized`` is the registry's engine knob: with it on (the
+    default) runs go through the per-policy specialization stage
+    (:func:`repro.analysis.specialize.specialize_machine`), which
+    picks the one fast step loop of the policy's kind — byte-identical
+    to the generic step loop, gated by the golden and differential
+    suites.  A spec registers ``specialized=True`` if and only if some
+    context depth runs a non-generic loop; specs the stage never
+    covers (pushdown, the naive §3.6 drivers, the map-based and the
+    receiver-sensitive FJ machines) register ``specialized=False``.
+    ``takes_obj_depth`` marks the hybrid ladder: only those specs
+    accept the bench ``--obj-depth`` axis.
     """
 
     name: str              # CLI name, e.g. "kcfa"
@@ -62,18 +60,16 @@ class AnalysisSpec:
     concrete: str | None = None
     paper: str = ""        # section reference
     specialized: bool = True
-    codegen: bool = True
     takes_obj_depth: bool = False
 
     def run(self, program, parameter: int, budget=None,
             plain: bool = False, specialize: bool | None = None,
-            codegen: bool | None = None,
             obj_depth: int | None = None):
         """Run this analysis; the parameter is the k/m/n depth.
 
-        ``specialize=None`` / ``codegen=None`` mean the spec's own
-        defaults; ``True`` still runs the lower tier when the spec
-        opted out.  ``obj_depth`` is only legal on hybrid-ladder specs
+        ``specialize=None`` means the spec's own default; ``True``
+        still runs the generic loop when the spec opted out.
+        ``obj_depth`` is only legal on hybrid-ladder specs
         (:class:`~repro.errors.UsageError` otherwise).
         """
         if obj_depth is not None and not self.takes_obj_depth:
@@ -83,12 +79,8 @@ class AnalysisSpec:
                 f"{', '.join(_obj_depth_names()) or 'no registered analysis'}")
         effective = self.specialized if specialize is None \
             else (specialize and self.specialized)
-        effective_codegen = self.codegen if codegen is None \
-            else (codegen and self.codegen)
         return self.factory(program, parameter, budget, plain,
-                            specialize=effective,
-                            codegen=effective_codegen,
-                            obj_depth=obj_depth)
+                            specialize=effective, obj_depth=obj_depth)
 
     def listing(self) -> dict:
         """The JSON-able registry row served by the ``analyses``
@@ -100,7 +92,6 @@ class AnalysisSpec:
             "engine": self.engine, "context": self.context,
             "complexity": self.complexity, "paper": self.paper,
             "specialized": self.specialized,
-            "codegen": self.codegen,
             "takes_obj_depth": self.takes_obj_depth,
         }
 
@@ -186,12 +177,11 @@ def registry() -> AnalysisRegistry:
 def run_analysis(name: str, program, parameter: int, budget=None,
                  plain: bool = False, language: str | None = None,
                  specialize: bool | None = None,
-                 codegen: bool | None = None,
                  obj_depth: int | None = None):
     """Dispatch one analysis by registry name."""
     return registry().get(name, language).run(
         program, parameter, budget, plain, specialize=specialize,
-        codegen=codegen, obj_depth=obj_depth)
+        obj_depth=obj_depth)
 
 
 # -- the builtin analyses -------------------------------------------------
@@ -208,75 +198,72 @@ def _register_builtin(table: AnalysisRegistry) -> None:
     # ``obj_depth`` (hybrid ladder only — validated in run()).
 
     def kcfa(program, parameter, budget, plain, *, specialize=True,
-             codegen=True, obj_depth=None):
+             obj_depth=None):
         from repro.analysis.kcfa import analyze_kcfa
         return analyze_kcfa(program, parameter, budget, plain=plain,
                             specialized=specialize)
 
     def mcfa(program, parameter, budget, plain, *, specialize=True,
-             codegen=True, obj_depth=None):
+             obj_depth=None):
         from repro.analysis.mcfa import analyze_mcfa
         return analyze_mcfa(program, parameter, budget, plain=plain,
-                            specialized=specialize, codegen=codegen)
+                            specialized=specialize)
 
     def poly(program, parameter, budget, plain, *, specialize=True,
-             codegen=True, obj_depth=None):
+             obj_depth=None):
         from repro.analysis.polykcfa import analyze_poly_kcfa
         return analyze_poly_kcfa(program, parameter, budget,
-                                 plain=plain, specialized=specialize,
-                                 codegen=codegen)
+                                 plain=plain, specialized=specialize)
 
     def zero(program, parameter, budget, plain, *, specialize=True,
-             codegen=True, obj_depth=None):
+             obj_depth=None):
         from repro.analysis.zerocfa import analyze_zerocfa
         return analyze_zerocfa(program, budget, plain=plain,
-                               specialized=specialize,
-                               codegen=codegen)
+                               specialized=specialize)
 
     def pushdown(program, parameter, budget, plain, *,
-                 specialize=True, codegen=True, obj_depth=None):
+                 specialize=True, obj_depth=None):
         from repro.analysis.pushdown import analyze_pushdown
         return analyze_pushdown(program, budget, plain=plain,
                                 specialized=specialize)
 
     def kcfa_gc(program, parameter, budget, plain, *,
-                specialize=True, codegen=True, obj_depth=None):
+                specialize=True, obj_depth=None):
         from repro.analysis.gc import analyze_kcfa_gc
         return analyze_kcfa_gc(program, parameter, budget, plain=plain)
 
     def kcfa_naive(program, parameter, budget, plain, *,
-                   specialize=True, codegen=True, obj_depth=None):
+                   specialize=True, obj_depth=None):
         from repro.analysis.kcfa import analyze_kcfa_naive
         return analyze_kcfa_naive(program, parameter, budget,
                                   plain=plain)
 
     def fj_kcfa(program, parameter, budget, plain, *,
-                specialize=True, codegen=True, obj_depth=None):
+                specialize=True, obj_depth=None):
         from repro.fj.kcfa import analyze_fj_kcfa
         return analyze_fj_kcfa(program, parameter, budget=budget,
                                plain=plain)
 
     def fj_poly(program, parameter, budget, plain, *,
-                specialize=True, codegen=True, obj_depth=None):
+                specialize=True, obj_depth=None):
         from repro.fj.poly import analyze_fj_poly
         return analyze_fj_poly(program, parameter, budget=budget,
-                               plain=plain, specialized=specialize,
-                               codegen=codegen)
+                               plain=plain, specialized=specialize)
 
     def fj_kcfa_gc(program, parameter, budget, plain, *,
-                   specialize=True, codegen=True, obj_depth=None):
+                   specialize=True, obj_depth=None):
         from repro.fj.gc import analyze_fj_kcfa_gc
         return analyze_fj_kcfa_gc(program, parameter, budget=budget,
                                   plain=plain)
 
     def fj_mcfa(program, parameter, budget, plain, *,
-                specialize=True, codegen=True, obj_depth=None):
+                specialize=True, obj_depth=None):
         from repro.fj.mcfa import analyze_fj_mcfa
         return analyze_fj_mcfa(program, parameter, budget=budget,
                                plain=plain, specialized=specialize)
 
     def fj_hybrid(program, parameter, budget, plain, *,
-                  specialize=True, codegen=True, obj_depth=None):
+                  specialize=True, obj_depth=None):
         from repro.fj.hybrid import analyze_fj_hybrid
         return analyze_fj_hybrid(
             program, parameter,
@@ -284,7 +271,7 @@ def _register_builtin(table: AnalysisRegistry) -> None:
             budget=budget, plain=plain, specialized=specialize)
 
     def fj_obj(program, parameter, budget, plain, *,
-               specialize=True, codegen=True, obj_depth=None):
+               specialize=True, obj_depth=None):
         from repro.fj.hybrid import analyze_fj_obj
         return analyze_fj_obj(program, parameter, budget=budget,
                               plain=plain, specialized=specialize)
@@ -294,11 +281,7 @@ def _register_builtin(table: AnalysisRegistry) -> None:
         env_rep="shared", engine="single-store",
         context="tick: last k call sites; alloc: (var, time)",
         complexity="EXPTIME-complete (k >= 1)", factory=kcfa,
-        concrete="shared-history", paper="§3.4–3.7",
-        # Shared environments: addresses are (var, context) with
-        # run-time contexts, so the emitter has no constants to fold
-        # beyond what CompiledSharedKernel pre-binds — declined.
-        codegen=False))
+        concrete="shared-history", paper="§3.4–3.7"))
     table.register(AnalysisSpec(
         name="mcfa", display="m-CFA", language="scheme",
         env_rep="flat", engine="single-store",
@@ -328,23 +311,21 @@ def _register_builtin(table: AnalysisRegistry) -> None:
         # rep yet; register the knob honestly (the analyses listing
         # and the bench --specialize axis must not advertise a path
         # that cannot run) — asserted in tests/test_pushdown.py.
-        # Codegen stays declined with it: entry summaries key on
-        # run-time argument signatures, nothing folds to literals.
-        specialized=False, codegen=False))
+        specialized=False))
     table.register(AnalysisSpec(
         name="kcfa-gc", display="k-CFA+GC", language="scheme",
         env_rep="shared", engine="naive+gc",
         context="tick: last k call sites; abstract GC per transition",
         complexity="EXPTIME (per-state stores)", factory=kcfa_gc,
         concrete="shared-history", paper="§8 / ΓCFA",
-        specialized=False, codegen=False))
+        specialized=False))
     table.register(AnalysisSpec(
         name="kcfa-naive", display="k-CFA-naive", language="scheme",
         env_rep="shared", engine="naive",
         context="tick: last k call sites; reachable-states driver",
         complexity="EXPTIME even for k=0", factory=kcfa_naive,
         concrete="shared-history", paper="§3.6",
-        specialized=False, codegen=False))
+        specialized=False))
     table.register(AnalysisSpec(
         name="fj-kcfa", display="FJ-k-CFA", language="fj",
         env_rep="shared", engine="single-store",
@@ -354,9 +335,8 @@ def _register_builtin(table: AnalysisRegistry) -> None:
         # The map-based Figure 9 machine has no specialization yet
         # (see ROADMAP); register the knob honestly so the analyses
         # listing and the bench --specialize axis do not advertise a
-        # path that cannot run.  Codegen rides on specialization, so
-        # it is declined with it.
-        specialized=False, codegen=False))
+        # path that cannot run.
+        specialized=False))
     table.register(AnalysisSpec(
         name="fj-poly", display="FJ-poly-k-CFA", language="fj",
         env_rep="flat", engine="single-store",
@@ -368,8 +348,7 @@ def _register_builtin(table: AnalysisRegistry) -> None:
         env_rep="shared", engine="naive+gc",
         context="Figure 9 ticks; abstract GC per transition",
         complexity="per-state stores", factory=fj_kcfa_gc,
-        concrete="fj", paper="§8", specialized=False,
-        codegen=False))
+        concrete="fj", paper="§8", specialized=False))
     table.register(AnalysisSpec(
         name="fj-mcfa", display="FJ-m-CFA", language="fj",
         env_rep="flat", engine="single-store",
@@ -377,20 +356,21 @@ def _register_builtin(table: AnalysisRegistry) -> None:
         complexity="PTIME", factory=fj_mcfa,
         concrete="fj", paper="§5 transplanted to §4",
         # Receiver-sensitive flat FJ: per-receiver times mean the
-        # per-statement addresses are not compile-time constants —
-        # the emitter declines (as for fj-hybrid and fj-obj below).
-        codegen=False))
+        # per-statement addresses are not compile-time constants, so
+        # every depth runs the generic machine (as for fj-hybrid and
+        # fj-obj below).
+        specialized=False))
     table.register(AnalysisSpec(
         name="fj-hybrid", display="FJ-hybrid", language="fj",
         env_rep="flat", engine="single-store",
         context="receiver alloc site + last call sites (ladder)",
         complexity="PTIME", factory=fj_hybrid,
         concrete="fj", paper="§8 (object sensitivity)",
-        codegen=False, takes_obj_depth=True))
+        specialized=False, takes_obj_depth=True))
     table.register(AnalysisSpec(
         name="fj-obj", display="FJ-obj", language="fj",
         env_rep="flat", engine="single-store",
         context="receiver allocation chain, depth n (obj^n)",
         complexity="PTIME", factory=fj_obj,
         concrete="fj", paper="§8 (object sensitivity)",
-        codegen=False))
+        specialized=False))

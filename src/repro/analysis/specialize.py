@@ -1,36 +1,32 @@
-"""Per-policy engine specialization: generated step loops.
+"""Per-policy engine specialization: one fast step loop per kind.
 
 The paper's complexity story says the flat/OO analyses are polynomial
 *because* their environment structure is degenerate — yet the generic
 :class:`~repro.analysis.kernel.Kernel` pays the fully general price
 (context tuples built per reference, free-variable copy reads, a
 polymorphic eval/apply dispatch) for every policy, including 0CFA
-where the context is always ``()``.  This module is the partial
-evaluator the registry's policy-as-data refactor unlocked: given a
-machine whose policy declares its axes (env rep shared/flat, tick
-arity, alloc shape — see :mod:`repro.analysis.policies`), it emits a
-**pre-resolved step function per call node**, staged against the
-policy:
+where the context is always ``()``.  Given a machine whose policy
+declares its axes (env rep shared/flat, tick arity, alloc shape — see
+:mod:`repro.analysis.policies`), :func:`specialize_machine` is the one
+place that picks the kind's fast loop:
 
-* :class:`ZeroFlatKernel` — flat environments with a *context-free*
-  allocator (0CFA; m-CFA and poly-k-CFA at depth 0).  Every
-  environment the system can construct is the empty tuple, so
-  addresses, successor configurations, closure bits and letrec joins
-  are folded to constants at compile time; context tuple construction
-  and free-variable copy reads are elided entirely (the copy guard
-  ``ρ̂'' ≠ ρ̂`` is statically false).
-* :class:`CompiledFlatKernel` — flat environments at depth ≥ 1:
-  pre-compiled atom evaluators, a monomorphic per-call-node dispatch
-  and the allocator/copy loop inlined with pre-bound locals.
-* :class:`CompiledSharedKernel` — shared environments (the k-CFA
-  family): pre-bound tick and address constructors, monomorphic
-  eval/apply dispatch, the §3.4 apply rule inlined against the rep's
-  extend memo.
-* :class:`ZeroFJFlatMachine` — the flat FJ machine under a
-  receiver-insensitive *context-free* policy (``fj-poly`` at k = 0):
-  per-statement compiled steps with all times folded to ``()`` and
-  per-method entry records (kont address, parameter addresses,
-  successor configuration) computed once.
+* flat envs under a context-free allocator (0CFA; m-CFA and
+  poly-k-CFA at depth 0) — :class:`ZeroFlatKernel`.  Every
+  environment is the empty tuple, so addresses, successor
+  configurations, closure bits and letrec joins fold to constants,
+  and the free-variable copy reads vanish (the copy guard
+  ``ρ̂'' ≠ ρ̂`` is statically false);
+* flat envs at depth ≥ 1 — codegen ``flat``
+  (:mod:`repro.analysis.codegen`), or the generic kernel when codegen
+  declines a program too deep to fingerprint;
+* shared envs (the k-CFA family) — :class:`CompiledSharedKernel`:
+  pre-bound tick and address constructors, monomorphic eval/apply
+  dispatch, the §3.4 apply rule inlined against the rep's extend memo;
+* flat FJ under a receiver-insensitive context-free policy
+  (``fj-poly`` at k = 0) — codegen ``zero-fj-flat``;
+* anything else (pushdown, the naive drivers, receiver-sensitive
+  flat FJ, the map-based FJ machine) — ``None``: the generic machine
+  is the one loop.
 
 **The contract is byte-identity, trajectory included.**  A compiled
 step must produce the same successors with the same joins *in the
@@ -58,7 +54,6 @@ from repro.analysis.kernel import (
 )
 from repro.cps.syntax import (
     AppCall, FixCall, HaltCall, IfCall, Lam, PrimCall, Ref,
-    free_vars_of_lam,
 )
 from repro.scheme.primitives import lookup_primitive
 
@@ -69,17 +64,16 @@ _EMPTY = ()
 
 
 def specialize_machine(machine):
-    """The specialization stage: a staged machine for *machine*'s
-    policy, or ``None`` when no specialization applies (naive-engine
-    machines, receiver-sensitive FJ policies, the map-based FJ
-    machine)."""
-    from repro.fj.poly import FJFlatMachine
+    """The specialization stage: the fast step loop for *machine*'s
+    kind (see the module docstring), or ``None`` when the generic
+    machine is the one loop for its kind."""
+    from repro.analysis.codegen import codegen_machine
     if isinstance(machine, Kernel):
         rep = machine.rep
         if isinstance(rep, FlatEnv):
             if getattr(rep.alloc, "context_free", False):
                 return ZeroFlatKernel(machine.program, rep)
-            return CompiledFlatKernel(machine.program, rep)
+            return codegen_machine(machine)
         if isinstance(rep, SharedEnv):
             return CompiledSharedKernel(machine.program, rep)
         # SummaryEnv (the pushdown rep) is deliberately not covered:
@@ -90,23 +84,16 @@ def specialize_machine(machine):
         # ``specialized=False``; tests/test_pushdown.py asserts the
         # knob stays honest.
         return None
-    if isinstance(machine, FJFlatMachine):
-        policy = machine.policy
-        if getattr(policy, "context_free", False) \
-                and not policy.receiver_sensitive:
-            return ZeroFJFlatMachine(machine.program, policy)
-        return None
-    return None
+    return codegen_machine(machine)
 
 
 class _CompiledKernel(Kernel):
     """A kernel whose step loop is compiled per call node, lazily.
 
-    Subclasses provide ``_compile_app`` / ``_compile_if`` /
-    ``_compile_prim`` / ``_compile_fix`` / ``_compile_halt``; the
-    dispatch below replaces the generic kernel's isinstance chain
-    with one dict probe on the call label (labels are unique per
-    program).
+    Subclasses provide ``_compile(call)``, which returns the node's
+    step function; the dispatch below replaces the generic kernel's
+    isinstance chain with one dict probe on the call label (labels
+    are unique per program).
     """
 
     specialization = "compiled"
@@ -500,9 +487,12 @@ class ZeroFlatKernel(_CompiledKernel):
         return step
 
 
-class _CompiledEnvKernel(_CompiledKernel):
-    """Shared helpers for the depth-sensitive compiled kernels, where
-    atoms still take the configuration (the environment varies)."""
+class CompiledSharedKernel(_CompiledKernel):
+    """Shared environments (k-CFA): pre-bound tick and address
+    constructors, the §3.4 apply rule inlined against the rep's
+    extend memo."""
+
+    specialization = "shared"
 
     def boot(self, store):
         config = super().boot(store)
@@ -522,234 +512,8 @@ class _CompiledEnvKernel(_CompiledKernel):
         return compiler(call)
 
     def _atom(self, exp):
-        raise NotImplementedError
-
-    def _compile_halt(self, call: HaltCall):
-        arg_ev = self._atom(call.arg)
-        decode = self.table.decode
-
-        def step(config, store, reads, recorder):
-            recorder.halt_values |= decode(arg_ev(config, store, reads))
-            return []
-        return step
-
-
-class CompiledFlatKernel(_CompiledEnvKernel):
-    """Flat environments at depth ≥ 1: monomorphic dispatch with the
-    allocator and the §5.2 free-variable copy loop inlined."""
-
-    specialization = "flat"
-
-    def _atom(self, exp):
         """``ev(config, store, reads) -> mask`` with the reference
         name / closure constructor pre-bound."""
-        if type(exp) is Ref:
-            name = exp.name
-
-            def ev(config, store, reads, _name=name):
-                addr = (_name, config.env)
-                reads.add(addr)
-                return store.get_mask(addr)
-            return ev
-        if type(exp) is Lam:
-            close_bit = self.rep.close_bit
-
-            def ev(config, store, reads, _exp=exp):
-                return close_bit(config, _exp)
-            return ev
-        bit = self._lit_bit(exp)
-        return lambda config, store, reads, _bit=bit: _bit
-
-    def _enter_info(self, operator, nargs):
-        """Per-operator apply plan: ``(lam, params, free-vars)`` or
-        ``None``.  The *same* free-vars frozenset object the generic
-        rep iterates — iteration order is part of the trajectory."""
-        if type(operator) is not FClo:
-            return None
-        lam = operator.lam
-        if len(lam.params) != nargs:
-            return None
-        return (lam, lam.params, free_vars_of_lam(lam))
-
-    def _compile_app(self, call: AppCall):
-        label = call.label
-        fn_ev = self._atom(call.fn)
-        arg_evs = tuple(self._atom(arg) for arg in call.args)
-        nargs = len(arg_evs)
-        basic = self._basic
-        decode_iter = self.table.decode_iter
-        alloc = self.rep.alloc
-        infos: dict = {}
-
-        def step(config, store, reads, recorder):
-            operators = fn_ev(config, store, reads)
-            if operators & basic:
-                recorder.unknown_operator.add(label)
-            arg_masks = [ev(config, store, reads) for ev in arg_evs]
-            env = config.env
-            succs = []
-            info_of = infos.get
-            for operator in decode_iter(operators):
-                key = id(operator)
-                info = info_of(key, _MISSING)
-                if info is _MISSING:
-                    info = self._enter_info(operator, nargs)
-                    infos[key] = info
-                if info is None:
-                    continue
-                lam, params, free = info
-                new_env = alloc(label, env, lam, operator.env)
-                joins = [((param, new_env), mask)
-                         for param, mask in zip(params, arg_masks)]
-                if new_env != operator.env:
-                    operator_env = operator.env
-                    for name in free:
-                        source = (name, operator_env)
-                        reads.add(source)
-                        copied = store.get_mask(source)
-                        if copied:
-                            joins.append(((name, new_env), copied))
-                recorder.record_apply(label, lam, new_env)
-                succs.append((FConfig(lam.body, new_env), joins))
-            return succs
-        return step
-
-    def _compile_if(self, call: IfCall):
-        test_ev = self._atom(call.test)
-        then_call, else_call = call.then, call.orelse
-        any_truthy = self.table.any_truthy
-        any_falsy = self.table.any_falsy
-
-        def step(config, store, reads, recorder):
-            test = test_ev(config, store, reads)
-            env = config.env
-            succs = []
-            if any_truthy(test):
-                succs.append((FConfig(then_call, env), ()))
-            if any_falsy(test):
-                succs.append((FConfig(else_call, env), ()))
-            return succs
-        return step
-
-    def _compile_fix(self, call: FixCall):
-        bindings = call.bindings
-        body = call.body
-        bit_for = self.table.bit_for
-        memo: dict = {}
-
-        def step(config, store, reads, recorder):
-            env = config.env
-            result = memo.get(env)
-            if result is None:
-                joins = tuple(
-                    ((name, env), bit_for(FClo(lam, env)))
-                    for name, lam in bindings)
-                result = [(FConfig(body, env), joins)]
-                memo[env] = result
-            return result
-        return step
-
-    def _compile_prim(self, call: PrimCall):
-        label = call.label
-        prim = lookup_primitive(call.op)
-        kind = prim.kind
-        arg_evs = tuple(self._atom(arg) for arg in call.args)
-        basic = self._basic
-        table = self.table
-        decode_iter = table.decode_iter
-        bit_for = table.bit_for
-        alloc = self.rep.alloc
-        car_name = f"car@{label}"
-        cdr_name = f"cdr@{label}"
-        cont_cell: list = []
-        pair_memo: dict = {}
-        infos: dict = {}
-
-        def entry_for(operator):
-            if type(operator) is not FClo:
-                return None
-            lam = operator.lam
-            if len(lam.params) != 1:
-                return None
-            return (lam, lam.params[0], free_vars_of_lam(lam))
-
-        def step(config, store, reads, recorder):
-            arg_masks = [ev(config, store, reads) for ev in arg_evs]
-            if kind == "error":
-                return []
-            for mask in arg_masks:
-                if not mask:
-                    return []
-            ctx = config.env
-            extra_joins = ()
-            if kind == "basic":
-                result = basic
-            elif kind == "cons":
-                pair = pair_memo.get(ctx)
-                if pair is None:
-                    car_addr = (car_name, ctx)
-                    cdr_addr = (cdr_name, ctx)
-                    pair = (car_addr, cdr_addr,
-                            bit_for(APair(car_addr, cdr_addr)))
-                    pair_memo[ctx] = pair
-                car_addr, cdr_addr, result = pair
-                extra_joins = ((car_addr, arg_masks[0]),
-                               (cdr_addr, arg_masks[1]))
-            else:  # car / cdr
-                gathered = table.empty
-                want_car = kind == "car"
-                for value in decode_iter(arg_masks[0]):
-                    if type(value) is APair:
-                        addr = value.car if want_car else value.cdr
-                        reads.add(addr)
-                        gathered |= store.get_mask(addr)
-                    elif value is BASIC:
-                        gathered |= basic
-                if not gathered:
-                    return []
-                result = gathered
-            if not cont_cell:
-                cont_cell.append(self._atom(call.cont))
-            conts = cont_cell[0](config, store, reads)
-            succs = []
-            env = config.env
-            info_of = infos.get
-            for operator in decode_iter(conts):
-                key = id(operator)
-                info = info_of(key, _MISSING)
-                if info is _MISSING:
-                    info = entry_for(operator)
-                    infos[key] = info
-                if info is None:
-                    continue
-                lam, param, free = info
-                new_env = alloc(label, env, lam, operator.env)
-                joins = [((param, new_env), result)]
-                if new_env != operator.env:
-                    operator_env = operator.env
-                    for name in free:
-                        source = (name, operator_env)
-                        reads.add(source)
-                        copied = store.get_mask(source)
-                        if copied:
-                            joins.append(((name, new_env), copied))
-                recorder.record_apply(label, lam, new_env)
-                succs.append((FConfig(lam.body, new_env),
-                              tuple(joins) + extra_joins))
-            if not succs and extra_joins:
-                succs.append((FConfig(call, env), extra_joins))
-            return succs
-        return step
-
-
-class CompiledSharedKernel(_CompiledEnvKernel):
-    """Shared environments (k-CFA): pre-bound tick and address
-    constructors, the §3.4 apply rule inlined against the rep's
-    extend memo."""
-
-    specialization = "shared"
-
-    def _atom(self, exp):
         if type(exp) is Ref:
             name = exp.name
 
@@ -766,6 +530,15 @@ class CompiledSharedKernel(_CompiledEnvKernel):
             return ev
         bit = self._lit_bit(exp)
         return lambda config, store, reads, _bit=bit: _bit
+
+    def _compile_halt(self, call: HaltCall):
+        arg_ev = self._atom(call.arg)
+        decode = self.table.decode
+
+        def step(config, store, reads, recorder):
+            recorder.halt_values |= decode(arg_ev(config, store, reads))
+            return []
+        return step
 
     def _compile_app(self, call: AppCall):
         label = call.label
@@ -916,291 +689,4 @@ class CompiledSharedKernel(_CompiledEnvKernel):
                     (KConfig(call, config.benv, config.time),
                      extra_joins))
             return succs
-        return step
-
-
-class ZeroFJFlatMachine:
-    """The flat FJ machine under a receiver-insensitive context-free
-    policy, with per-statement compiled steps and all times folded to
-    ``()`` — the OO mirror of :class:`ZeroFlatKernel`.
-
-    Constructed via :func:`specialize_machine`; delegates everything
-    structural (entry seeding, class table, constructor wiring) to
-    the generic machine it replaces and only overrides the step loop.
-    """
-
-    specialization = "zero-fj-flat"
-
-    def __init__(self, program, policy):
-        from repro.fj.poly import FJFlatMachine
-        self.program = program
-        self.policy = policy
-        self._generic = FJFlatMachine(program, policy)
-
-    def boot(self, store):
-        config = self._generic.boot(store)
-        self.table = self._generic.table
-        self._compiled: dict[int, object] = {}
-        return config
-
-    def step(self, config, store, reads, recorder):
-        stmt = config.stmt
-        fn = self._compiled.get(stmt.label)
-        if fn is None:
-            fn = self._compile(stmt)
-            self._compiled[stmt.label] = fn
-        return fn(config, store, reads, recorder)
-
-    # -- compilation ---------------------------------------------------
-
-    def _compile(self, stmt):
-        from repro.fj.syntax import (
-            Cast, FieldAccess, Invoke, New, Return, VarExp,
-        )
-        if isinstance(stmt, Return):
-            return self._compile_return(stmt)
-        exp = stmt.exp
-        if isinstance(exp, (VarExp, Cast)):
-            return self._compile_move(stmt, exp.target
-                                      if isinstance(exp, Cast)
-                                      else exp.name)
-        if isinstance(exp, FieldAccess):
-            return self._compile_field_access(stmt, exp)
-        if isinstance(exp, Invoke):
-            return self._compile_invoke(stmt, exp)
-        if isinstance(exp, New):
-            return self._compile_new(stmt, exp)
-        raise TypeError(f"cannot step statement {stmt!r}")
-
-    def _succ_memo(self, following):
-        """``kont_ptr -> PConfig(following, (), kont_ptr, ())``, one
-        constructed configuration per continuation pointer."""
-        from repro.fj.poly import PConfig
-        memo: dict = {}
-
-        def succ_for(kont_ptr):
-            succ = memo.get(kont_ptr)
-            if succ is None:
-                succ = PConfig(following, _EMPTY, kont_ptr, _EMPTY)
-                memo[kont_ptr] = succ
-            return succ
-        return succ_for
-
-    def _compile_move(self, stmt, source_name):
-        source = (source_name, _EMPTY)
-        target = (stmt.var, _EMPTY)
-        following = self.program.succ(stmt.label)
-        if following is None:
-            def dead(config, store, reads, recorder):
-                reads.add(source)
-                store.get_mask(source)
-                return []
-            return dead
-        succ_for = self._succ_memo(following)
-
-        def step(config, store, reads, recorder):
-            reads.add(source)
-            values = store.get_mask(source)
-            joins = [(target, values)] if values else []
-            return [(succ_for(config.kont_ptr), joins)]
-        return step
-
-    def _compile_field_access(self, stmt, exp):
-        from repro.fj.poly import PObj
-        source = (exp.target, _EMPTY)
-        target = (stmt.var, _EMPTY)
-        fieldname = exp.fieldname
-        all_fields = self.program.all_fields
-        field_key = self._generic._field_key
-        decode_iter = self.table.decode_iter
-        following = self.program.succ(stmt.label)
-        addr_memo: dict = {}
-
-        def addr_for(value):
-            addr = addr_memo.get(value, _MISSING)
-            if addr is _MISSING:
-                addr = (field_key(fieldname), value.time) \
-                    if isinstance(value, PObj) \
-                    and fieldname in all_fields(value.classname) \
-                    else None
-                addr_memo[value] = addr
-            return addr
-
-        if following is None:
-            def dead(config, store, reads, recorder):
-                reads.add(source)
-                for value in decode_iter(store.get_mask(source)):
-                    addr = addr_for(value)
-                    if addr is not None:
-                        reads.add(addr)
-                        store.get_mask(addr)
-                return []
-            return dead
-        succ_for = self._succ_memo(following)
-
-        def step(config, store, reads, recorder):
-            reads.add(source)
-            joins = []
-            for value in decode_iter(store.get_mask(source)):
-                addr = addr_for(value)
-                if addr is None:
-                    continue
-                reads.add(addr)
-                field_values = store.get_mask(addr)
-                if field_values:
-                    joins.append((target, field_values))
-            return [(succ_for(config.kont_ptr), joins)]
-        return step
-
-    def _compile_return(self, stmt):
-        from repro.fj.kcfa import HALT_PTR
-        from repro.fj.poly import PConfig, PKont
-        source = (stmt.var, _EMPTY)
-        decode = self.table.decode
-        decode_iter = self.table.decode_iter
-        kont_memo: dict = {}
-
-        def kont_entry(kont):
-            entry = kont_memo.get(kont, _MISSING)
-            if entry is _MISSING:
-                entry = None
-                if isinstance(kont, PKont):
-                    entry = ((kont.var, kont.caller_entry),
-                             PConfig(kont.stmt, kont.caller_entry,
-                                     kont.kont_ptr, _EMPTY))
-                kont_memo[kont] = entry
-            return entry
-
-        def step(config, store, reads, recorder):
-            reads.add(source)
-            values = store.get_mask(source)
-            kont_ptr = config.kont_ptr
-            if kont_ptr is HALT_PTR:
-                recorder.halt_values |= decode(values)
-                return []
-            reads.add(kont_ptr)
-            succs = []
-            for kont in decode_iter(store.get_mask(kont_ptr)):
-                entry = kont_entry(kont)
-                if entry is None:
-                    continue
-                target, succ = entry
-                joins = [(target, values)] if values else []
-                succs.append((succ, joins))
-            return succs
-        return step
-
-    def _compile_invoke(self, stmt, exp):
-        from repro.fj.poly import PConfig, PKont, PObj
-        label = stmt.label
-        var = stmt.var
-        receiver_addr = (exp.target, _EMPTY)
-        arg_addrs = tuple((arg, _EMPTY) for arg in exp.args)
-        nargs = len(arg_addrs)
-        method_name = exp.method
-        lookup_method = self.program.lookup_method
-        decode_iter = self.table.decode_iter
-        bit_for = self.table.bit_for
-        following = self.program.succ(stmt.label)
-        dispatch_memo: dict = {}   # receiver value -> method | None
-        plan_memo: dict = {}       # qualified name -> entry plan
-        kont_bits: dict = {}       # kont_ptr -> interned PKont bit
-        recorded: set = set()
-
-        def method_for(value):
-            method = dispatch_memo.get(value, _MISSING)
-            if method is _MISSING:
-                method = None
-                if isinstance(value, PObj):
-                    found = lookup_method(value.classname, method_name)
-                    if found is not None \
-                            and len(found.params) == nargs:
-                        method = found
-                dispatch_memo[value] = method
-            return method
-
-        def plan_for(qualified_name, method):
-            plan = plan_memo.get(qualified_name)
-            if plan is None:
-                kont_addr = (qualified_name, _EMPTY)
-                plan = (kont_addr,
-                        tuple((name, _EMPTY)
-                              for name in method.param_names()),
-                        PConfig(method.body[0], _EMPTY, kont_addr,
-                                _EMPTY))
-                plan_memo[qualified_name] = plan
-            return plan
-
-        def step(config, store, reads, recorder):
-            reads.add(receiver_addr)
-            receivers = store.get_mask(receiver_addr)
-            if following is None:
-                return []
-            arg_masks = []
-            for addr in arg_addrs:
-                reads.add(addr)
-                arg_masks.append(store.get_mask(addr))
-            methods = {}
-            for value in decode_iter(receivers):
-                method = method_for(value)
-                if method is not None:
-                    methods[method.qualified_name] = method
-            kont_ptr = config.kont_ptr
-            succs = []
-            for qualified_name, method in sorted(methods.items()):
-                kont_bit = kont_bits.get(kont_ptr)
-                if kont_bit is None:
-                    kont_bit = bit_for(PKont(var, following, _EMPTY,
-                                             _EMPTY, kont_ptr))
-                    kont_bits[kont_ptr] = kont_bit
-                kont_addr, param_addrs, succ = plan_for(
-                    qualified_name, method)
-                joins = [(kont_addr, kont_bit)]
-                if receivers:
-                    joins.append((("this", _EMPTY), receivers))
-                if qualified_name not in recorded:
-                    recorded.add(qualified_name)
-                    recorder.invoke_targets.setdefault(
-                        label, set()).add(qualified_name)
-                    recorder.method_contexts.setdefault(
-                        qualified_name, set()).add(_EMPTY)
-                for addr, values in zip(param_addrs, arg_masks):
-                    if values:
-                        joins.append((addr, values))
-                succs.append((succ, joins))
-            return succs
-        return step
-
-    def _compile_new(self, stmt, exp):
-        from repro.fj.poly import PObj
-        arg_addrs = tuple((arg, _EMPTY) for arg in exp.args)
-        field_key = self._generic._field_key
-        wiring = tuple(
-            ((field_key(fieldname), _EMPTY), param_index)
-            for fieldname, param_index
-            in self.program.ctor_wiring[exp.classname])
-        obj = PObj(exp.classname, stmt.label, _EMPTY)
-        obj_cell: list = []
-        bit_for = self.table.bit_for
-        target = (stmt.var, _EMPTY)
-        following = self.program.succ(stmt.label)
-        succ_for = self._succ_memo(following) \
-            if following is not None else None
-
-        def step(config, store, reads, recorder):
-            arg_masks = []
-            for addr in arg_addrs:
-                reads.add(addr)
-                arg_masks.append(store.get_mask(addr))
-            joins = []
-            for field_addr, param_index in wiring:
-                if arg_masks[param_index]:
-                    joins.append((field_addr, arg_masks[param_index]))
-            recorder.objects.add(obj)
-            if not obj_cell:
-                obj_cell.append(bit_for(obj))
-            joins.append((target, obj_cell[0]))
-            if succ_for is None:
-                return []
-            return [(succ_for(config.kont_ptr), joins)]
         return step

@@ -22,19 +22,13 @@ from repro.util.budget import Budget
 def analyze_zerocfa(program: Program,
                     budget: Budget | None = None,
                     plain: bool = False,
-                    specialized: bool = True,
-                    codegen: bool = True) -> AnalysisResult:
+                    specialized: bool = True) -> AnalysisResult:
     """Run 0CFA (m-CFA with m = 0) to fixpoint.
 
     With ``specialized`` (the default) the context-free allocator
     selects the fully folded step loop
     (:class:`~repro.analysis.specialize.ZeroFlatKernel`): no context
     tuples, no free-variable copy reads, addresses pre-resolved.
-    ``codegen`` (also the default) lifts that one rung further to
-    emitted source with bit-parallel transfer
-    (:mod:`repro.analysis.codegen`).
     """
-    result = analyze_flat(program, mcfa_allocator(0), "0CFA", 0, budget,
-                          plain=plain, specialized=specialized,
-                          codegen=codegen)
-    return result
+    return analyze_flat(program, mcfa_allocator(0), "0CFA", 0, budget,
+                        plain=plain, specialized=specialized)

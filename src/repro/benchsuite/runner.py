@@ -110,10 +110,6 @@ def fj_random_seed(name: str) -> int:
 #: Engine-path modes of the bench ``--specialize`` axis.
 SPECIALIZE_MODES = ("on", "off")
 
-#: Modes of the bench ``--codegen`` axis (generated step source vs
-#: the compiled specialized loops; byte-identical results).
-CODEGEN_MODES = ("on", "off")
-
 
 @dataclass(frozen=True, slots=True)
 class BenchTask:
@@ -125,13 +121,10 @@ class BenchTask:
     programs via :func:`repro.benchsuite.scaling.scaled_source` and is
     ignored for generated and FJ programs.  ``values`` selects the
     value-domain representation (see :data:`VALUE_MODES`);
-    ``specialize`` the engine path (``on`` runs the per-policy
-    specialized step loop, ``off`` the generic one — byte-identical
-    results, so rows differ only in timing); ``codegen`` the
-    generated-source tier on top of it (``off`` pins covered
-    policies to the compiled loops — byte-identical again);
-    ``obj_depth`` the hybrid ladder's receiver-chain depth
-    (fj-hybrid only).
+    ``specialize`` the engine path (``on`` runs the kind's fast step
+    loop, ``off`` the generic one — byte-identical results, so rows
+    differ only in timing); ``obj_depth`` the hybrid ladder's
+    receiver-chain depth (fj-hybrid only).
     """
 
     program: str
@@ -141,7 +134,6 @@ class BenchTask:
     timeout: float = 30.0
     values: str = "interned"
     specialize: str = "on"
-    codegen: str = "on"
     obj_depth: int | None = None
     #: Run the analysis this many times and report the fastest
     #: ``elapsed`` (min-of-N, the standard noise filter for committed
@@ -156,10 +148,8 @@ class BenchTask:
             else ""
         mode = f"[{self.values}]" if self.values != "interned" else ""
         path = "[generic]" if self.specialize == "off" else ""
-        gen = "[nocodegen]" if self.specialize != "off" \
-            and self.codegen == "off" else ""
         return (f"{self.program}{scale}:{self.analysis}"
-                f"({self.parameter}{obj}){mode}{path}{gen}")
+                f"({self.parameter}{obj}){mode}{path}")
 
 
 def task_source(task: BenchTask) -> str:
@@ -225,7 +215,6 @@ def _run_scheme_task(task: BenchTask, budget: Budget) -> dict:
         program, task.analysis, task.parameter, budget,
         plain=task.values == "plain",
         specialize=task.specialize != "off",
-        codegen=task.codegen != "off",
         obj_depth=task.obj_depth))
 
 
@@ -247,7 +236,6 @@ def _run_fj_task(task: BenchTask, budget: Budget) -> dict:
         program, task.analysis, task.parameter, budget,
         plain=task.values == "plain",
         specialize=task.specialize != "off",
-        codegen=task.codegen != "off",
         obj_depth=task.obj_depth))
 
 
@@ -268,7 +256,6 @@ def run_task(task: BenchTask) -> dict:
         "timeout": task.timeout,
         "values": task.values,
         "specialize": task.specialize,
-        "codegen": task.codegen,
         "repeat": task.repeat,
         "pid": os.getpid(),
     }
@@ -303,7 +290,6 @@ def build_matrix(programs: Iterable[str], analyses: Iterable[str],
                  timeout: float = 30.0,
                  values: Iterable[str] = ("interned",),
                  specialize: Iterable[str] = ("on",),
-                 codegen: Iterable[str] = ("on",),
                  obj_depths: Iterable[int] | None = None,
                  repeat: int = 1) -> list[BenchTask]:
     """Expand program × analysis × context × value-mode (× engine
@@ -330,7 +316,6 @@ def build_matrix(programs: Iterable[str], analyses: Iterable[str],
     analyses = list(dict.fromkeys(analyses))
     value_modes = list(dict.fromkeys(values))
     engine_paths = list(dict.fromkeys(specialize))
-    codegen_modes = list(dict.fromkeys(codegen))
     depth_axis = None if obj_depths is None \
         else sorted(set(obj_depths))
     # Consult the registry live (not the import-time tuples) so an
@@ -353,12 +338,6 @@ def build_matrix(programs: Iterable[str], analyses: Iterable[str],
         raise UsageError(
             f"unknown specialize modes {unknown_paths!r}; choose "
             f"from {', '.join(SPECIALIZE_MODES)}")
-    unknown_gen = [mode for mode in codegen_modes
-                   if mode not in CODEGEN_MODES]
-    if unknown_gen:
-        raise UsageError(
-            f"unknown codegen modes {unknown_gen!r}; choose from "
-            f"{', '.join(CODEGEN_MODES)}")
     if depth_axis is not None:
         no_axis = [name for name in analyses
                    if not table.get(name).takes_obj_depth]
@@ -392,26 +371,15 @@ def build_matrix(programs: Iterable[str], analyses: Iterable[str],
                                   else (None,)):
                     for mode in value_modes:
                         for path in engine_paths:
-                            for gen in codegen_modes:
-                                # Codegen rides on specialization:
-                                # with the engine path off there is
-                                # only one cell, not two identical
-                                # generic ones.
-                                if path == "off" and gen != \
-                                        codegen_modes[0]:
-                                    continue
-                                tasks.append(BenchTask(
-                                    program=program,
-                                    analysis=analysis,
-                                    parameter=parameter,
-                                    copies=copies
-                                    if program in BY_NAME else 1,
-                                    timeout=timeout, values=mode,
-                                    specialize=path,
-                                    codegen=gen
-                                    if path != "off" else "off",
-                                    obj_depth=obj_depth,
-                                    repeat=repeat))
+                            tasks.append(BenchTask(
+                                program=program, analysis=analysis,
+                                parameter=parameter,
+                                copies=copies
+                                if program in BY_NAME else 1,
+                                timeout=timeout, values=mode,
+                                specialize=path,
+                                obj_depth=obj_depth,
+                                repeat=repeat))
     return tasks
 
 
@@ -482,7 +450,6 @@ def _task_cache_key(task: BenchTask) -> str:
                      {"bench": True, "copies": task.copies,
                       "values": task.values,
                       "specialize": task.specialize,
-                      "codegen": task.codegen,
                       "obj_depth": task.obj_depth,
                       "repeat": task.repeat})
 

@@ -368,7 +368,7 @@ class ProgramCache:
 #: Bump whenever the shape of generated step-loop source changes —
 #: emitter templates, the runtime-helper contract, or the meaning of
 #: a kind string.  Stale modules then fail validation and regenerate.
-CODEGEN_SCHEMA_VERSION = 5
+CODEGEN_SCHEMA_VERSION = 6
 
 
 def default_codegen_dir() -> Path:

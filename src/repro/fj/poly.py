@@ -42,8 +42,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.domains import AbsStore
-from repro.analysis.engine import EngineOptions, codegen_stage, \
-    machine_path, run_single_store, specialize
+from repro.analysis.engine import EngineOptions, machine_path, \
+    run_single_store, specialize
 from repro.analysis.policies import FJCallSite, FJContextPolicy
 from repro.fj.class_table import FJProgram
 from repro.fj.concrete import TICK_POLICIES
@@ -391,23 +391,18 @@ class FJPolyMachine(FJFlatMachine):
 def run_flat_policy(machine: FJFlatMachine, display: str,
                     parameter: int, budget: Budget | None = None,
                     plain: bool = False,
-                    specialized: bool = True,
-                    codegen: bool = True) -> FJResult:
+                    specialized: bool = True) -> FJResult:
     """Drive one flat FJ machine to fixpoint and package the result —
     the single run harness behind every flat-machine analysis
     (``fj-poly``, ``fj-mcfa``, ``fj-hybrid``, ``fj-obj``).
 
     ``specialized`` routes the machine through the specialization
-    stage first: receiver-insensitive context-free policies get the
-    per-statement compiled step loop, everything else runs generic.
-    ``codegen`` lifts the covered policies one rung further to
-    generated source (:mod:`repro.analysis.codegen`); it only engages
-    on top of specialization.
+    stage: receiver-insensitive context-free policies get generated
+    per-statement step source (:mod:`repro.analysis.codegen`),
+    everything else runs generic.
     """
     from repro.analysis.interning import PlainTable
-    staged = codegen_stage(machine, specialized and codegen)
-    machine = staged if staged is not None \
-        else specialize(machine, specialized)
+    machine = specialize(machine, specialized)
     run = run_single_store(
         machine, _FJRecorder(),
         EngineOptions(budget=budget,
@@ -422,9 +417,8 @@ def analyze_fj_poly(program: FJProgram, k: int = 1,
                     tick_policy: str = "invocation",
                     budget: Budget | None = None,
                     plain: bool = False,
-                    specialized: bool = True,
-                    codegen: bool = True) -> FJResult:
+                    specialized: bool = True) -> FJResult:
     """Run the collapsed polynomial OO k-CFA."""
     return run_flat_policy(FJPolyMachine(program, k, tick_policy),
                            "FJ-poly-k-CFA", k, budget, plain,
-                           specialized, codegen)
+                           specialized)

@@ -144,19 +144,17 @@ def analyses_report(rows: list, language: str | None,
     """
     from repro.metrics.timing import format_table
     headers = ["name", "display", "lang", "env-rep", "engine",
-               "context policy", "complexity", "specialized",
-               "codegen"]
-    # Rows served by pre-codegen servers lack the two knob columns;
-    # render a "?" rather than crashing --list-analyses against them.
-    def knob(row, field):
-        value = row.get(field)
+               "context policy", "complexity", "specialized"]
+    # Rows served by pre-knob servers lack the column; render a "?"
+    # rather than crashing --list-analyses against them.
+    def knob(row):
+        value = row.get("specialized")
         if value is None:
             return "?"
         return "yes" if value else "no"
     table_rows = [[row["name"], row["display"], row["language"],
                    row["env_rep"], row["engine"], row["context"],
-                   row["complexity"], knob(row, "specialized"),
-                   knob(row, "codegen")]
+                   row["complexity"], knob(row)]
                   for row in rows]
     lines = [format_table(headers, table_rows)]
     if language is None:

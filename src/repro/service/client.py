@@ -187,7 +187,6 @@ class ServiceClient:
                report: str = "all", values: str = "interned",
                timeout: float | None = None,
                specialize: bool = True,
-               codegen: bool = True,
                session: bool = False,
                on_event=None,
                busy_retries: int = BUSY_RETRIES) -> dict:
@@ -211,9 +210,6 @@ class ServiceClient:
             # submit fields strictly, so the default-True case must
             # stay wire-compatible with them.
             base["specialize"] = False
-        if not codegen:
-            # Same wire-compatibility rule as specialize.
-            base["codegen"] = False
         if session:
             # Same wire-compatibility rule as specialize.
             base["session"] = True
@@ -247,7 +243,6 @@ class ServiceClient:
               analysis: str = "mcfa", context: int = 1,
               simplify: bool = False, values: str = "interned",
               timeout: float | None = None, specialize: bool = True,
-              codegen: bool = True,
               on_event=None,
               busy_retries: int = BUSY_RETRIES) -> dict:
         """One client query; the ``done`` event carries ``answer``.
@@ -273,8 +268,6 @@ class ServiceClient:
             # Only sent when non-default (same wire-compatibility
             # rule as submit).
             base["specialize"] = False
-        if not codegen:
-            base["codegen"] = False
         if source is not None:
             base["source"] = source
         if path is not None:

@@ -39,7 +39,13 @@ import multiprocessing
 import os
 import queue
 import threading
+import time
 from multiprocessing.connection import wait as _wait_connections
+
+#: Seconds :meth:`WorkerFleet.stop` waits, in total, for workers to
+#: drain their queue and exit on the stop sentinel before it kills the
+#: stragglers.
+STOP_DEADLINE = 2.0
 
 
 def _fleet_context():
@@ -52,9 +58,9 @@ def _fleet_context():
 def _worker_main(conn, worker_id: str,
                  codegen_dir=None) -> None:
     """The worker child's whole life: recv a kind-tagged request, run
-    it warm, send the row back with cumulative stats.  Exits on pipe
-    EOF (parent closed its end — the clean shutdown signal) or a
-    broken pipe.
+    it warm, send the row back with cumulative stats.  Exits on the
+    ``None`` stop sentinel (the clean shutdown signal, see
+    :meth:`WorkerFleet.stop`), on pipe EOF or on a broken pipe.
 
     Request kinds (see :meth:`WorkerFleet.dispatch`):
 
@@ -202,24 +208,30 @@ class WorkerFleet:
         return self
 
     def stop(self) -> None:
-        """Retire every worker: close the pipes (the child's EOF
-        signal), give each a moment to exit, then force the rest."""
+        """Retire every worker: queue the ``None`` stop sentinel behind
+        any pending requests (the sender forwards it and retires),
+        join every worker against one shared deadline, force only the
+        ones that miss it, and close the pipes after the join."""
         with self._lock:
             if self._stopping:
                 return
             self._stopping = True
-        for handle in self._handles.values():
-            handle.outbox.put(None)  # unblock + retire the sender
-        for handle in self._handles.values():
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
-            handle.process.join(timeout=2.0)
+        handles = list(self._handles.values())
+        for handle in handles:
+            handle.outbox.put(None)
+        deadline = time.monotonic() + STOP_DEADLINE
+        for handle in handles:
+            handle.process.join(
+                timeout=max(0.0, deadline - time.monotonic()))
+        for handle in handles:
             if handle.process.is_alive():
                 handle.process.kill()
                 handle.process.join(timeout=2.0)
             handle.alive = False
+            try:
+                handle.conn.close()
+            except OSError:
+                pass
         for thread in self._threads:
             thread.join(timeout=1.0)
 
@@ -262,12 +274,12 @@ class WorkerFleet:
         does."""
         while True:
             item = handle.outbox.get()
-            if item is None:
-                return
             try:
                 handle.conn.send(item)
             except (OSError, BrokenPipeError, ValueError):
                 return  # pump thread owns death reporting
+            if item is None:
+                return  # the worker's stop sentinel is on the pipe
 
     def _pump(self, handle: WorkerHandle) -> None:
         """Deliver results; on death, drain stragglers then report."""

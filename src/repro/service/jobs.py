@@ -28,12 +28,11 @@ Cache-key audit
 :func:`job_cache_key` must cover **every result-affecting option** of
 a job: the exact source text, the analysis name, the context depth,
 ``simplify`` (changes the analyzed term), ``report`` (changes the
-rendered text) and ``values``, ``specialize`` and ``codegen`` (each
-of the plain/interned domains, the specialized/generic step loops and
-the generated/compiled transfer functions produces byte-identical
+rendered text) and ``values`` and ``specialize`` (the plain/interned
+domains and the fast/generic step loops produce byte-identical
 reports *today*, but those equivalences are theorems about the
-current code, not the key scheme's business — flipping any of them
-must never return a stale entry).  A batch client query
+current code, not the key scheme's business — flipping either must
+never return a stale entry).  A batch client query
 (``query_kind``/``query_target``) replaces the rendered report with
 the pass's JSON answer, so both fields enter the key — but only when
 set, keeping every pre-existing plain-job key unchanged.  The
@@ -80,26 +79,22 @@ def run_scheme_analysis(program, analysis: str, parameter: int,
                         budget: Budget | None = None,
                         plain: bool = False,
                         specialize: bool | None = None,
-                        codegen: bool | None = None,
                         obj_depth: int | None = None):
     """Dispatch one Scheme analysis via the registry."""
     return run_analysis(analysis, program, parameter, budget,
                         plain=plain, language="scheme",
-                        specialize=specialize, codegen=codegen,
-                        obj_depth=obj_depth)
+                        specialize=specialize, obj_depth=obj_depth)
 
 
 def run_fj_analysis(program, analysis: str, parameter: int,
                     budget: Budget | None = None,
                     plain: bool = False,
                     specialize: bool | None = None,
-                    codegen: bool | None = None,
                     obj_depth: int | None = None):
     """Dispatch one Featherweight Java analysis via the registry."""
     return run_analysis(analysis, program, parameter, budget,
                         plain=plain, language="fj",
-                        specialize=specialize, codegen=codegen,
-                        obj_depth=obj_depth)
+                        specialize=specialize, obj_depth=obj_depth)
 
 
 def validate_job_options(analysis: str, context: int,
@@ -154,15 +149,11 @@ class JobSpec:
     report: str = "all"
     values: str = "interned"
     timeout: float | None = None
-    #: Route the run through the per-policy specialization stage
-    #: (byte-identical results either way; False is the
-    #: ``--no-specialize`` escape hatch).
+    #: Route the run through the per-policy specialization stage,
+    #: which picks the kind's one fast step loop (byte-identical
+    #: results either way; False is the ``--no-specialize`` escape
+    #: hatch).
     specialize: bool = True
-    #: Run covered policies through generated per-node step source
-    #: (byte-identical to the compiled loops; False is the
-    #: ``--codegen off`` escape hatch).  Has no effect when
-    #: ``specialize`` is off — codegen rides on specialization.
-    codegen: bool = True
     #: Batch client query (see :mod:`repro.analysis.clients`): when
     #: ``query_kind`` is set the job's stdout is the pass's JSON
     #: answer instead of the rendered reports, and the row carries
@@ -194,9 +185,6 @@ class JobSpec:
             raise UsageError(
                 f"specialize must be a boolean, got "
                 f"{self.specialize!r}")
-        if not isinstance(self.codegen, bool):
-            raise UsageError(
-                f"codegen must be a boolean, got {self.codegen!r}")
         if self.timeout is not None:
             if isinstance(self.timeout, bool) \
                     or not isinstance(self.timeout, (int, float)) \
@@ -215,8 +203,7 @@ def job_cache_key(spec: JobSpec) -> str:
              "simplify": spec.simplify,
              "report": spec.report,
              "values": spec.values,
-             "specialize": spec.specialize,
-             "codegen": spec.codegen}
+             "specialize": spec.specialize}
     if spec.query_kind is not None:
         # Only when set: every plain-job key predating the client
         # layer stays byte-identical.
@@ -540,15 +527,13 @@ def run_job(spec: JobSpec, programs=None) -> dict:
             result = run_fj_analysis(
                 program, spec.analysis, spec.context, budget,
                 plain=spec.values == "plain",
-                specialize=spec.specialize,
-                codegen=spec.codegen)
+                specialize=spec.specialize)
             row["stdout"] = render_fj_reports(program, result)
         else:
             result = run_scheme_analysis(
                 program, spec.analysis, spec.context, budget,
                 plain=spec.values == "plain",
-                specialize=spec.specialize,
-                codegen=spec.codegen)
+                specialize=spec.specialize)
             row["stdout"] = render_reports(program, result,
                                            spec.report)
         if spec.query_kind is not None:

@@ -88,7 +88,7 @@ from repro.errors import ReproError
 from repro.service.jobs import JobSpec
 
 #: Bump when the wire format changes shape incompatibly.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one NDJSON line (requests embed whole programs).
 MAX_LINE_BYTES = 16 * 1024 * 1024
@@ -102,8 +102,7 @@ OPS = ("submit", "edit", "query", "stats", "analyses", "ping",
 #: analyzing under defaults.
 SUBMIT_FIELDS = frozenset(
     ("op", "id", "source", "path", "analysis", "context", "simplify",
-     "report", "values", "timeout", "specialize", "codegen",
-     "session"))
+     "report", "values", "timeout", "specialize", "session"))
 
 #: Fields of an ``analyses`` request (same strictness as submit).
 ANALYSES_FIELDS = frozenset(("op", "id", "language"))
@@ -120,7 +119,7 @@ QUERY_SESSION_FIELDS = frozenset(
 #: the job options of the sessionless batch form.
 QUERY_FIELDS = QUERY_SESSION_FIELDS | frozenset(
     ("source", "path", "analysis", "context", "simplify", "values",
-     "timeout", "specialize", "codegen"))
+     "timeout", "specialize"))
 
 #: Query kinds a session answers (re-exported for wire clients).
 QUERY_KINDS = SESSION_KINDS
@@ -213,10 +212,6 @@ def submit_spec(message: dict) -> JobSpec:
     if not isinstance(specialize, bool):
         raise ProtocolError(
             f"specialize must be a JSON boolean, got {specialize!r}")
-    codegen = message.get("codegen", True)
-    if not isinstance(codegen, bool):
-        raise ProtocolError(
-            f"codegen must be a JSON boolean, got {codegen!r}")
     spec = JobSpec(
         source=source,
         analysis=message.get("analysis", "mcfa"),
@@ -225,8 +220,7 @@ def submit_spec(message: dict) -> JobSpec:
         report=message.get("report", "all"),
         values=message.get("values", "interned"),
         timeout=message.get("timeout"),
-        specialize=specialize,
-        codegen=codegen)
+        specialize=specialize)
     try:
         return spec.validate()
     except ProtocolError:
@@ -356,10 +350,6 @@ def query_job_spec(message: dict) -> JobSpec:
     if not isinstance(specialize, bool):
         raise ProtocolError(
             f"specialize must be a JSON boolean, got {specialize!r}")
-    codegen = message.get("codegen", True)
-    if not isinstance(codegen, bool):
-        raise ProtocolError(
-            f"codegen must be a JSON boolean, got {codegen!r}")
     spec = JobSpec(
         source=source,
         analysis=message.get("analysis", "mcfa"),
@@ -368,7 +358,6 @@ def query_job_spec(message: dict) -> JobSpec:
         values=message.get("values", "interned"),
         timeout=message.get("timeout"),
         specialize=specialize,
-        codegen=codegen,
         query_kind=kind,
         query_target=target)
     try:

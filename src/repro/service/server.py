@@ -162,7 +162,6 @@ class AnalysisServer:
                  workers: int | None = None, cache=None,
                  default_timeout: float | None = 60.0,
                  specialize: bool = True,
-                 codegen: bool = True,
                  codegen_dir=None,
                  max_queue: int = DEFAULT_MAX_QUEUE):
         self.host = host
@@ -176,9 +175,6 @@ class AnalysisServer:
         #: whatever the request says (results are byte-identical, so
         #: this is an operational escape hatch, not a semantic knob).
         self.specialize = specialize
-        #: Server-wide codegen override, same contract: ``serve
-        #: --codegen off`` pins every job to the compiled loops.
-        self.codegen = codegen
         #: Where fleet workers keep generated modules (``--cache-dir``
         #: relocates it beside the result cache; None = the default).
         self.codegen_dir = codegen_dir
@@ -484,8 +480,6 @@ class AnalysisServer:
             spec = replace(spec, timeout=self.default_timeout)
         if not self.specialize and spec.specialize:
             spec = replace(spec, specialize=False)
-        if not self.codegen and spec.codegen:
-            spec = replace(spec, codegen=False)
         key = job_cache_key(spec)
         self._jobs["submitted"] += 1
         send({"event": "queued", "job": job_id, "key": key})
@@ -695,8 +689,6 @@ class AnalysisServer:
             spec = replace(spec, timeout=self.default_timeout)
         if not self.specialize and spec.specialize:
             spec = replace(spec, specialize=False)
-        if not self.codegen and spec.codegen:
-            spec = replace(spec, codegen=False)
         key = job_cache_key(spec)
         self._jobs["submitted"] += 1
         self._jobs["queries"] += 1

@@ -2,21 +2,47 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+from types import SimpleNamespace
+
 import pytest
 
 from repro.benchsuite import SUITE
 from repro.scheme.cps_transform import compile_program
 
 
+@pytest.fixture(scope="session", autouse=True)
+def hermetic_cache_home(tmp_path_factory):
+    """Point ``XDG_CACHE_HOME`` at a session temp dir before anything
+    runs, so no test writes into the developer's real cache.
+
+    The function-scoped memory-only codegen cache below only reaches
+    this process; CLI subprocesses and spawned fleet workers resolve
+    their caches from the environment, which they inherit from here.
+    Yields the temp root and the cache root the session would
+    otherwise have used.
+    """
+    from repro.cache import default_cache_dir
+    original_root = default_cache_dir()
+    previous = os.environ.get("XDG_CACHE_HOME")
+    root = tmp_path_factory.mktemp("xdg-cache")
+    os.environ["XDG_CACHE_HOME"] = str(root)
+    yield SimpleNamespace(root=Path(root), original=original_root)
+    if previous is None:
+        os.environ.pop("XDG_CACHE_HOME", None)
+    else:
+        os.environ["XDG_CACHE_HOME"] = previous
+
+
 @pytest.fixture(autouse=True)
 def _memory_codegen_cache():
     """Keep the codegen default cache memory-only during tests.
 
-    Analyses run with codegen on by default; without this every test
-    process would write generated modules into the developer's real
-    ``~/.cache/repro/codegen``.  Memory-only keeps runs hermetic
-    while still exercising the cache lookup path.  Tests that want a
-    disk-backed cache install their own via
+    The fast tier runs generated source for some kinds by default;
+    memory-only keeps in-process runs off disk while still exercising
+    the cache lookup path.  Tests that want a disk-backed cache
+    install their own via
     :func:`repro.analysis.codegen.set_default_codegen_cache`.
     """
     from repro.analysis.codegen import set_default_codegen_cache

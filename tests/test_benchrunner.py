@@ -159,42 +159,23 @@ class TestRunTask:
         assert "k must be non-negative" in row["error"]
 
     def test_rows_record_which_engine_path_ran(self):
-        codegen = run_task(BenchTask("eta", "zero", 0))
-        compiled = run_task(BenchTask("eta", "zero", 0,
-                                      codegen="off"))
-        generic = run_task(BenchTask("eta", "zero", 0,
+        fast = run_task(BenchTask("eta", "mcfa", 1))
+        generic = run_task(BenchTask("eta", "mcfa", 1,
                                      specialize="off"))
-        assert codegen["engine_path"] == "codegen:zero-flat"
-        assert codegen["specialize"] == "on"
-        assert codegen["codegen"] == "on"
-        assert compiled["engine_path"] == "specialized:zero-flat"
-        assert compiled["codegen"] == "off"
+        zero = run_task(BenchTask("eta", "zero", 0))
+        assert fast["engine_path"] == "codegen:flat"
+        assert fast["specialize"] == "on"
+        assert zero["engine_path"] == "specialized:zero-flat"
         assert generic["engine_path"] == "generic"
         assert generic["specialize"] == "off"
+        assert "codegen" not in fast
         # Byte-identity across paths: every result column agrees —
         # only timing, pid and the path labels may differ.
         volatile = ("pid", "wall_seconds", "elapsed", "specialize",
-                    "codegen", "engine_path", "task")
+                    "engine_path", "task")
         strip = lambda row: {key: value for key, value in row.items()
                              if key not in volatile}
-        assert strip(codegen) == strip(compiled)
-        assert strip(codegen) == strip(generic)
-
-    def test_codegen_axis_rides_on_specialization(self):
-        tasks = build_matrix(["eta"], ["zero"], [0],
-                             specialize=["on", "off"],
-                             codegen=["on", "off"])
-        assert [(task.specialize, task.codegen)
-                for task in tasks] == \
-            [("on", "on"), ("on", "off"), ("off", "off")]
-        assert [task.task_id for task in tasks] == \
-            ["eta:zero(0)", "eta:zero(0)[nocodegen]",
-             "eta:zero(0)[generic]"]
-
-    def test_unknown_codegen_mode_rejected(self):
-        with pytest.raises(ReproError, match="codegen"):
-            build_matrix(["eta"], ["zero"], [0],
-                         codegen=["sometimes"])
+        assert strip(fast) == strip(generic)
 
     def test_opted_out_spec_reports_generic_even_when_asked(self):
         row = run_task(BenchTask("eta", "kcfa-naive", 1))

@@ -162,8 +162,7 @@ class TestJobKeyAudit:
                                   ("simplify", True),
                                   ("report", "flow"),
                                   ("values", "plain"),
-                                  ("specialize", False),
-                                  ("codegen", False)]:
+                                  ("specialize", False)]:
             changed = replace(base, **{field_name: other})
             assert job_cache_key(changed) != job_cache_key(base), \
                 f"{field_name} is not part of the cache key"
@@ -190,7 +189,7 @@ class TestJobKeyAudit:
             "(f 1)", "kcfa", 1,
             {"command": "analyze", "simplify": False,
              "report": "all", "values": "interned",
-             "specialize": True, "codegen": True})
+             "specialize": True})
 
 
 class TestValuesDomainRegression:
@@ -359,3 +358,45 @@ class TestBenchCLI:
         tasks = build_matrix(["worst4"], ["kcfa", "fj-kcfa"], [1])
         assert [task.analysis for task in tasks] == ["kcfa"]
         assert "x4" in task_source(tasks[0])
+
+
+class TestHermeticTier1:
+    """The session fixture in conftest points ``XDG_CACHE_HOME`` at a
+    temp dir; spawned fleet workers must honour it."""
+
+    def test_fleet_codegen_modules_stay_in_the_session_dir(
+            self, hermetic_cache_home):
+        import time
+        from repro.analysis.codegen import codegen_key
+        from repro.scheme.cps_transform import compile_program
+        from repro.service.fleet import WorkerFleet
+        from repro.service.jobs import JobSpec
+        source = ("(define (twice f x) (f (f x)))\n"
+                  "(twice (lambda (y) y) 3)\n")
+        key = codegen_key(compile_program(source), "flat")
+        hermetic = hermetic_cache_home.root / "repro" / "codegen"
+        original = hermetic_cache_home.original / "codegen"
+        assert not original.is_relative_to(hermetic_cache_home.root)
+
+        def snapshot():
+            if not original.is_dir():
+                return {}
+            return {path.name: path.stat().st_mtime_ns
+                    for path in original.iterdir()}
+
+        before = snapshot()
+        rows = []
+        fleet = WorkerFleet(1, lambda *args: rows.append(args[2]),
+                            lambda worker: None).start()
+        try:
+            fleet.dispatch("w0", ("job", 1, JobSpec(
+                source=source, analysis="mcfa", context=1)))
+            deadline = time.monotonic() + 60
+            while not rows and time.monotonic() < deadline:
+                time.sleep(0.02)
+        finally:
+            fleet.stop()
+        assert rows and rows[0]["status"] == "ok", rows
+        assert (hermetic / f"{key}.py").is_file()
+        assert snapshot() == before
+

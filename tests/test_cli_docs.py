@@ -118,17 +118,16 @@ def test_documented_env_reps_match_registry():
 
 
 def test_analyses_knob_columns_documented_and_served():
-    """The listing serves boolean ``specialized``/``codegen`` knob
-    columns for every analysis, and the analyses section documents
-    both — a new engine-tier column must land with its docs."""
+    """The listing serves the boolean ``specialized`` knob column for
+    every analysis, and the analyses section documents it — an
+    engine-tier column must land with its docs."""
     from repro.analysis.registry import registry_listing
     for row in registry_listing(None):
         assert isinstance(row["specialized"], bool), row["name"]
-        assert isinstance(row["codegen"], bool), row["name"]
+        assert "codegen" not in row, row["name"]
     section = _doc_sections()["analyses"]
-    for column in ("specialized", "codegen"):
-        assert f"`{column}`" in section, \
-            f"analyses column {column!r} undocumented in docs/cli.md"
+    assert "`specialized`" in section, \
+        "analyses column 'specialized' undocumented in docs/cli.md"
 
 
 def test_analyses_table_renders_knob_columns():
@@ -139,5 +138,5 @@ def test_analyses_table_renders_knob_columns():
     rows = registry_listing(None)
     report = analyses_report(rows, None, len(rows), "test")
     header = report.splitlines()[0]
-    assert "specialized" in header and "codegen" in header
+    assert "specialized" in header and "codegen" not in header
     assert "pushdown" in report  # a registered opt-out renders "no"

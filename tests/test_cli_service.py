@@ -248,7 +248,7 @@ class TestUnixSocket:
         try:
             assert server.endpoint == socket_path
             with ServiceClient(socket_path=socket_path) as client:
-                assert client.ping()["protocol"] == 1
+                assert client.ping()["protocol"] == 2
                 final = client.submit(source=SOURCE, analysis="zero",
                                       context=0, timeout=60.0)
                 assert final["status"] == "ok"

@@ -102,6 +102,34 @@ class TestWorkerDeath:
             server.stop()
 
 
+class TestCleanStop:
+    def test_stop_is_a_fast_clean_handshake(self):
+        """Stopping the fleet sends every worker the stop sentinel:
+        all of them exit 0 well inside the kill deadline, and none is
+        reported dead (shutdown is not an outage)."""
+        from repro.service.fleet import WorkerFleet
+        results, deaths = [], []
+        fleet = WorkerFleet(
+            4, lambda worker, ticket, row, stats: results.append(row),
+            deaths.append).start()
+        try:
+            for ticket, worker_id in enumerate(fleet.live_workers()):
+                fleet.dispatch(worker_id, (
+                    "job", ticket, JobSpec(source=FAST_SOURCE)))
+            assert _wait(lambda: len(results) == 4), \
+                "workers never came up"
+        finally:
+            started = time.perf_counter()
+            fleet.stop()
+            elapsed = time.perf_counter() - started
+        assert elapsed < 0.5, f"stop took {elapsed:.2f}s"
+        codes = [handle.process.exitcode
+                 for handle in fleet._handles.values()]
+        assert codes == [0, 0, 0, 0]
+        assert deaths == []
+        assert all(row["status"] == "ok" for row in results)
+
+
 class TestClientDisconnect:
     def test_disconnect_mid_stream_retires_the_flight(self):
         server = AnalysisServer(port=0, workers=1, cache=None).start()

@@ -258,6 +258,24 @@ class TestServerProtocolEdges:
         assert events[1]["event"] == "pong"
         assert events[1]["protocol"] == PROTOCOL_VERSION
 
+    @pytest.mark.parametrize("op", ("submit", "query"))
+    def test_retired_codegen_field_is_one_error_event(self, raw_server,
+                                                      op):
+        """Protocol 2 dropped the ``codegen`` field: a frame that
+        still carries it gets exactly one ``error`` event naming it,
+        and the connection and server stay live."""
+        message = {"op": op, "id": f"old-{op}", "source": SOURCE,
+                   "codegen": False}
+        if op == "query":
+            message["kind"] = "call-graph"
+        payload = encode_message(message) \
+            + encode_message({"op": "ping"})
+        events = _raw_roundtrip(raw_server, payload, replies=2)
+        assert events[0]["event"] == "error"
+        assert f"unknown {op} field(s) codegen" in events[0]["error"]
+        assert events[1]["event"] == "pong"
+        assert events[1]["protocol"] == PROTOCOL_VERSION == 2
+
     def test_rejections_are_counted(self, raw_server):
         from repro.service.client import ServiceClient
         with ServiceClient(port=raw_server.port) as client:

@@ -34,9 +34,9 @@ VALUE_MODES = ("interned", "plain")
 #: depth 0 vs. depth >= 1) — pinned so a refactor cannot silently
 #: stop specializing an analysis while this suite vacuously passes.
 EXPECTED_PATHS = {
-    ("zero", 0): "codegen:zero-flat",
-    ("mcfa", 0): "codegen:zero-flat",
-    ("poly", 0): "codegen:zero-flat",
+    ("zero", 0): "specialized:zero-flat",
+    ("mcfa", 0): "specialized:zero-flat",
+    ("poly", 0): "specialized:zero-flat",
     ("mcfa", 1): "codegen:flat",
     ("poly", 1): "codegen:flat",
     ("kcfa", 1): "specialized:shared",
@@ -50,31 +50,33 @@ EXPECTED_PATHS = {
     ("fj-kcfa", 0): "generic",
 }
 
-#: What the same cells run when codegen is off: the compiled
-#: specialized loops — pinned so the escape hatch stays an escape
-#: hatch (and so codegen cannot silently become load-bearing).
-EXPECTED_NOCODEGEN_PATHS = {
-    ("zero", 0): "specialized:zero-flat",
-    ("mcfa", 1): "specialized:flat",
-    ("fj-poly", 0): "specialized:zero-fj-flat",
-}
 
 
-def test_uncovered_specs_register_the_knob_off():
-    """Specs the specializer cannot cover must say so: the analyses
-    listing and the bench axis advertise ``specialized`` truthfully."""
-    for name in ("kcfa-gc", "kcfa-naive", "fj-kcfa-gc", "fj-kcfa",
-                 "pushdown"):
-        assert registry().get(name).specialized is False, name
+def _knob_probe_program(spec):
+    if spec.language == "fj":
+        from repro.fj import parse_fj
+        from repro.fj.examples import ALL_EXAMPLES
+        return parse_fj(ALL_EXAMPLES["pairs"])
+    return compile_program("((lambda (x) x) 1)")
 
 
-def run_both(spec, program, parameter, plain=False, obj_depth=None,
-             codegen=None):
+@pytest.mark.parametrize("spec", registry().specs(),
+                         ids=lambda spec: spec.name)
+def test_specialized_knob_matches_engine_paths(spec):
+    """The analyses listing and the bench axis advertise
+    ``specialized`` truthfully: a spec registers it if and only if
+    some context depth actually runs a non-generic step loop."""
+    program = _knob_probe_program(spec)
+    paths = {spec.run(program, depth, specialize=True).engine_path
+             for depth in (0, 1, 2)}
+    assert spec.specialized == (paths != {"generic"}), paths
+
+
+def run_both(spec, program, parameter, plain=False, obj_depth=None):
     generic = spec.run(program, parameter, plain=plain,
                        specialize=False, obj_depth=obj_depth)
     special = spec.run(program, parameter, plain=plain,
-                       specialize=True, obj_depth=obj_depth,
-                       codegen=codegen)
+                       specialize=True, obj_depth=obj_depth)
     return generic, special
 
 
@@ -161,6 +163,22 @@ def test_fj_hybrid_obj_depth_axis_identical():
 # -- random programs ------------------------------------------------------
 
 
+@pytest.mark.parametrize("seed", (7, 42, 99))
+def test_random_fj_programs_identical(seed):
+    from repro.fj import parse_fj
+    from repro.generators.fj_random import fj_random_source
+    program = parse_fj(fj_random_source(seed))
+    for spec in FJ_SPECS:
+        if spec.engine != "single-store":
+            continue  # naive drivers can explode on random terms
+        for context in (0, 1):
+            generic, special = run_both(spec, program, context)
+            assert_identical(
+                generic, special,
+                lambda result: render_fj_reports(program, result),
+                context=f"(fjrand{seed}, {spec.name}, n={context})")
+
+
 @pytest.mark.parametrize("seed", (5, 23, 71, 104))
 def test_random_scheme_programs_identical(seed):
     from repro.generators.random_programs import random_program
@@ -194,25 +212,29 @@ def test_expected_engine_path(key):
     assert result.engine_path == EXPECTED_PATHS[key]
 
 
+@pytest.mark.parametrize("shape", ("begin", "arith", "lets"))
+def test_deep_programs_pick_their_loop(shape):
+    """Programs too deep to fingerprint: codegen declines, so flat
+    depth >= 1 runs the generic kernel while the context-free kind
+    keeps its folded loop — and both stay byte-identical."""
+    import test_deep_programs as deep
+    source = getattr(deep, f"deep_{shape}")(deep.DEPTH)
+    program = compile_program(source)
+    for name, context, path in (("mcfa", 1, "generic"),
+                                ("zero", 0, "specialized:zero-flat")):
+        generic, special = run_both(registry().get(name), program,
+                                    context)
+        assert special.engine_path == path
+        assert_identical(
+            generic, special,
+            lambda result: render_reports(program, result),
+            context=f"(deep_{shape}, {name}, n={context})")
+
+
 def test_escape_hatch_forces_generic():
     program = compile_program("((lambda (x) x) 1)")
     result = registry().get("zero").run(program, 0, specialize=False)
     assert result.engine_path == "generic"
-
-
-@pytest.mark.parametrize("key", sorted(EXPECTED_NOCODEGEN_PATHS),
-                         ids=lambda key: f"{key[0]}-{key[1]}")
-def test_codegen_escape_hatch_runs_compiled_loops(key):
-    name, context = key
-    spec = registry().get(name)
-    if spec.language == "fj":
-        from repro.fj import parse_fj
-        from repro.fj.examples import ALL_EXAMPLES
-        program = parse_fj(ALL_EXAMPLES["pairs"])
-    else:
-        program = compile_program("((lambda (x) x) 1)")
-    result = spec.run(program, context, codegen=False)
-    assert result.engine_path == EXPECTED_NOCODEGEN_PATHS[key]
 
 
 def test_obj_depth_rejected_off_the_ladder():
@@ -254,9 +276,7 @@ def test_diverging_specialization_fails(monkeypatch):
                         broken)
     program = compile_program(small_sources()["eta"])
     spec = registry().get("zero")
-    # codegen=False: the generated-source tier sits above
-    # specialize_machine and would otherwise bypass the impostor.
-    generic, special = run_both(spec, program, 0, codegen=False)
+    generic, special = run_both(spec, program, 0)
     assert special.engine_path == "specialized:diverging"
     with pytest.raises(AssertionError, match="diverged"):
         assert_identical(
@@ -266,24 +286,48 @@ def test_diverging_specialization_fails(monkeypatch):
 
 # -- the codegen tier -----------------------------------------------------
 #
-# The generated-source stage (:mod:`repro.analysis.codegen`) makes the
-# same trajectory promise one rung further up: per-node emitted step
-# functions with bit-parallel transfer must be byte- and
-# trajectory-identical to the compiled specialized loops (and hence,
-# transitively, to the generic engine the suite above pins).
+# Where the stage picks generated source (:mod:`repro.analysis.codegen`)
+# the module must behave the same whether it was just generated or
+# loaded back from disk by a fresh cache, and the kinds the stage keeps
+# off codegen must never touch the module cache.  Each case runs the
+# fast path twice over one disk directory — a cold generate, then a
+# reload — and holds both runs to the generic oracle.
 
 
-CODEGEN_SCHEME_SPECS = [spec for spec in SCHEME_SPECS if spec.codegen]
+#: The engine paths that run a generated module.
+CODEGEN_PATHS = ("codegen:flat", "codegen:zero-fj-flat")
 
 
-def run_codegen_both(spec, program, parameter, plain=False):
-    """One analysis twice: compiled loops vs. generated source."""
-    compiled = spec.run(program, parameter, plain=plain,
-                        codegen=False)
-    generated = spec.run(program, parameter, plain=plain,
-                         codegen=True)
-    return compiled, generated
+def assert_codegen_round_trip(spec, program, parameter, render,
+                              directory, plain=False, context=""):
+    from repro.analysis.codegen import set_default_codegen_cache
+    from repro.cache import CodegenCache
+    generic = spec.run(program, parameter, plain=plain,
+                       specialize=False)
+    runs = []
+    try:
+        for _ in range(2):
+            cache = CodegenCache(directory)
+            set_default_codegen_cache(cache)
+            runs.append((spec.run(program, parameter, plain=plain),
+                         cache.stats))
+    finally:
+        set_default_codegen_cache(None)
+    (cold, cold_stats), (warm, warm_stats) = runs
+    for special in (cold, warm):
+        assert_identical(generic, special, render, context=context)
+    assert cold.engine_path == warm.engine_path
+    counts = (cold_stats.misses, cold_stats.hits, warm_stats.misses,
+              warm_stats.hits)
+    if cold.engine_path in CODEGEN_PATHS:
+        assert counts == (1, 0, 0, 1), context
+    else:
+        assert counts == (0, 0, 0, 0), context
+    return cold
 
+
+CODEGEN_SCHEME_SPECS = [registry().get(name)
+                        for name in ("mcfa", "poly", "zero")]
 
 CODEGEN_SCHEME_CASES = [
     (name, spec, context, values)
@@ -298,16 +342,16 @@ CODEGEN_SCHEME_CASES = [
 @pytest.mark.parametrize(
     "name,spec,context,values", CODEGEN_SCHEME_CASES,
     ids=lambda value: getattr(value, "name", value))
-def test_scheme_codegen_byte_identical(name, spec, context, values):
+def test_scheme_codegen_byte_identical(name, spec, context, values,
+                                       tmp_path):
     program = compile_program(small_sources()[name])
-    compiled, generated = run_codegen_both(
-        spec, program, context, plain=values == "plain")
-    assert_identical(
-        compiled, generated,
+    fast = assert_codegen_round_trip(
+        spec, program, context,
         lambda result: render_reports(program, result),
+        tmp_path / "codegen", plain=values == "plain",
         context=f"({name}, {spec.name}, n={context}, {values})")
-    assert generated.engine_path.startswith("codegen:")
-    assert compiled.engine_path.startswith("specialized:")
+    assert fast.engine_path == ("codegen:flat" if context
+                                else "specialized:zero-flat")
 
 
 CODEGEN_FJ_CASES = [
@@ -318,58 +362,41 @@ CODEGEN_FJ_CASES = [
 
 
 @pytest.mark.parametrize("name,values", CODEGEN_FJ_CASES)
-def test_fj_codegen_byte_identical(name, values):
+def test_fj_codegen_byte_identical(name, values, tmp_path):
     from repro.fj import parse_fj
     from repro.fj.examples import ALL_EXAMPLES
-    spec = registry().get("fj-poly")
     program = parse_fj(ALL_EXAMPLES[name])
-    compiled, generated = run_codegen_both(
-        spec, program, 0, plain=values == "plain")
-    assert_identical(
-        compiled, generated,
+    fast = assert_codegen_round_trip(
+        registry().get("fj-poly"), program, 0,
         lambda result: render_fj_reports(program, result),
+        tmp_path / "codegen", plain=values == "plain",
         context=f"({name}, fj-poly, n=0, {values})")
-    assert generated.engine_path == "codegen:zero-fj-flat"
+    assert fast.engine_path == "codegen:zero-fj-flat"
 
 
 @pytest.mark.parametrize("seed", (5, 23, 71, 104))
-def test_random_scheme_codegen_identical(seed):
+def test_random_scheme_codegen_identical(seed, tmp_path):
     from repro.generators.random_programs import random_program
     program = random_program(seed, 4)
     for spec in CODEGEN_SCHEME_SPECS:
         for context in (0, 1):
-            compiled, generated = run_codegen_both(spec, program,
-                                                   context)
-            assert_identical(
-                compiled, generated,
+            assert_codegen_round_trip(
+                spec, program, context,
                 lambda result: render_reports(program, result),
+                tmp_path / f"{spec.name}-{context}",
                 context=f"(seed {seed}, {spec.name}, n={context})")
 
 
 @pytest.mark.parametrize("seed", (7, 42, 99))
-def test_random_fj_codegen_identical(seed):
+def test_random_fj_codegen_identical(seed, tmp_path):
     from repro.fj import parse_fj
     from repro.generators.fj_random import fj_random_source
-    spec = registry().get("fj-poly")
     program = parse_fj(fj_random_source(seed))
-    compiled, generated = run_codegen_both(spec, program, 0)
-    assert_identical(
-        compiled, generated,
+    fast = assert_codegen_round_trip(
+        registry().get("fj-poly"), program, 0,
         lambda result: render_fj_reports(program, result),
-        context=f"(fjrand{seed}, fj-poly, n=0)")
-
-
-def test_codegen_covered_specs_advertise_the_knob():
-    """``codegen=True`` in the registry must mean "this suite covers
-    it" — and opted-out specs must say no (the analyses table and the
-    bench axis read these)."""
-    covered = {spec.name for spec in registry().specs()
-               if spec.codegen}
-    assert covered == {"zero", "mcfa", "poly", "fj-poly"}
-    for name in ("kcfa", "pushdown", "kcfa-gc", "kcfa-naive",
-                 "fj-kcfa", "fj-kcfa-gc", "fj-mcfa", "fj-hybrid",
-                 "fj-obj"):
-        assert registry().get(name).codegen is False, name
+        tmp_path / "codegen", context=f"(fjrand{seed}, fj-poly, n=0)")
+    assert fast.engine_path == "codegen:zero-fj-flat"
 
 
 # -- the codegen cache: honest invalidation -------------------------------
@@ -396,14 +423,14 @@ def test_codegen_cache_hits_across_processes_worth_of_state(
     from repro.analysis.codegen import set_default_codegen_cache
     from repro.cache import CodegenCache
     program = compile_program(small_sources()["eta"])
-    spec = registry().get("zero")
+    spec = registry().get("mcfa")
     cache = _disk_codegen_cache(tmp_path)
     try:
-        first = spec.run(program, 0)
+        first = spec.run(program, 1)
         assert cache.stats.misses == 1 and cache.stats.writes == 1
         rewarmed = CodegenCache(tmp_path / "codegen")
         set_default_codegen_cache(rewarmed)
-        second = spec.run(program, 0)
+        second = spec.run(program, 1)
         assert rewarmed.stats.hits == 1
         assert rewarmed.stats.misses == 0
         assert render_reports(program, first) \
@@ -420,10 +447,10 @@ def test_stale_schema_module_is_regenerated_not_served(tmp_path):
     from repro.analysis.codegen import set_default_codegen_cache
     from repro.cache import CodegenCache
     program = compile_program(small_sources()["eta"])
-    spec = registry().get("zero")
+    spec = registry().get("mcfa")
     cache = _disk_codegen_cache(tmp_path)
     try:
-        baseline = spec.run(program, 0)
+        baseline = spec.run(program, 1)
         path = _sole_module_file(cache)
         text = path.read_text(encoding="utf-8")
         assert "SCHEMA = " in text
@@ -431,10 +458,10 @@ def test_stale_schema_module_is_regenerated_not_served(tmp_path):
                                      1), encoding="utf-8")
         stale = CodegenCache(tmp_path / "codegen")
         set_default_codegen_cache(stale)
-        rerun = spec.run(program, 0)
+        rerun = spec.run(program, 1)
         assert stale.stats.rejected == 1
         assert stale.stats.writes == 1  # regenerated in place
-        assert rerun.engine_path == "codegen:zero-flat"
+        assert rerun.engine_path == "codegen:flat"
         assert render_reports(program, rerun) \
             == render_reports(program, baseline)
         # The rewritten entry is valid again.
@@ -447,17 +474,17 @@ def test_corrupt_cached_module_is_regenerated_not_a_crash(tmp_path):
     from repro.analysis.codegen import set_default_codegen_cache
     from repro.cache import CodegenCache
     program = compile_program(small_sources()["eta"])
-    spec = registry().get("zero")
+    spec = registry().get("mcfa")
     cache = _disk_codegen_cache(tmp_path)
     try:
-        baseline = spec.run(program, 0)
+        baseline = spec.run(program, 1)
         path = _sole_module_file(cache)
         path.write_text("def (broken syntax", encoding="utf-8")
         corrupt = CodegenCache(tmp_path / "codegen")
         set_default_codegen_cache(corrupt)
-        rerun = spec.run(program, 0)
+        rerun = spec.run(program, 1)
         assert corrupt.stats.rejected == 1
-        assert rerun.engine_path == "codegen:zero-flat"
+        assert rerun.engine_path == "codegen:flat"
         assert render_reports(program, rerun) \
             == render_reports(program, baseline)
     finally:
@@ -467,11 +494,11 @@ def test_corrupt_cached_module_is_regenerated_not_a_crash(tmp_path):
 def test_codegen_prune_drops_stale_schema_entries(tmp_path,
                                                   monkeypatch):
     program = compile_program(small_sources()["eta"])
-    spec = registry().get("zero")
+    spec = registry().get("mcfa")
     from repro.analysis.codegen import set_default_codegen_cache
     cache = _disk_codegen_cache(tmp_path)
     try:
-        spec.run(program, 0)
+        spec.run(program, 1)
         path = _sole_module_file(cache)
         monkeypatch.setattr("repro.cache.CODEGEN_SCHEMA_VERSION",
                             9999)

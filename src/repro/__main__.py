@@ -59,34 +59,55 @@ def _build_parser() -> argparse.ArgumentParser:
                     "(PLDI 2010 paradox paper reproduction)")
     commands = parser.add_subparsers(dest="command", required=True)
 
+    # Flag groups several subcommands share, each declared once and
+    # attached as an argparse parent.
+    job = argparse.ArgumentParser(add_help=False)
+    job.add_argument("--analysis", default="mcfa", metavar="NAME",
+                     help="a registered analysis name "
+                          "(see `repro analyses`; default mcfa)")
+    job.add_argument("-n", "--context", type=int, default=1,
+                     help="the k or m (default 1)")
+    job.add_argument("--simplify", action="store_true",
+                     help="shrink-simplify the CPS term first")
+    job.add_argument("--timeout", type=float, default=None,
+                     help="per-job wall-clock budget in seconds "
+                          "(default none; submit defaults to the "
+                          "server's --job-timeout)")
+    job.add_argument("--values", choices=list(VALUE_MODES),
+                     default="interned",
+                     help="value-domain representation "
+                          "(default interned)")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--report", choices=list(REPORT_CHOICES),
+                        default="all")
+    engine = argparse.ArgumentParser(add_help=False)
+    engine.add_argument("--no-specialize", action="store_true",
+                        help="run the generic engine loop instead of "
+                             "the per-policy specialized one "
+                             "(results are byte-identical)")
+    cache = argparse.ArgumentParser(add_help=False)
+    cache.add_argument("--cache", action="store_true",
+                       help="reuse/persist results in the default "
+                            "cache dir (~/.cache/repro)")
+    cache.add_argument("--cache-dir", default=None,
+                       help="cache directory (implies --cache)")
+    connection = argparse.ArgumentParser(add_help=False)
+    connection.add_argument("--socket", default=None,
+                            help="connect to this Unix socket path "
+                                 "instead of TCP")
+    connection.add_argument("--host", default="127.0.0.1",
+                            help="server TCP address "
+                                 "(default 127.0.0.1)")
+    connection.add_argument("--port", type=int, default=7557,
+                            help="server TCP port (default 7557)")
+    connection.add_argument("--quiet", action="store_true",
+                            help="suppress streamed progress events "
+                                 "on stderr")
+
     analyze = commands.add_parser(
-        "analyze", help="analyze a source file (Scheme or FJ)")
+        "analyze", parents=[job, report, engine, cache],
+        help="analyze a source file (Scheme or FJ)")
     analyze.add_argument("file", help="source path ('-' stdin)")
-    analyze.add_argument("--analysis", default="mcfa", metavar="NAME",
-                         help="a registered analysis name "
-                              "(see `repro analyses`; default mcfa)")
-    analyze.add_argument("-n", "--context", type=int, default=1,
-                         help="the k or m (default 1)")
-    analyze.add_argument("--simplify", action="store_true",
-                         help="shrink-simplify the CPS term first")
-    analyze.add_argument("--timeout", type=float, default=None,
-                         help="wall-clock budget in seconds")
-    analyze.add_argument("--report",
-                         choices=list(REPORT_CHOICES),
-                         default="all")
-    analyze.add_argument("--values", choices=list(VALUE_MODES),
-                         default="interned",
-                         help="value-domain representation "
-                              "(default interned)")
-    analyze.add_argument("--no-specialize", action="store_true",
-                         help="run the generic engine loop instead "
-                              "of the per-policy specialized one "
-                              "(results are byte-identical)")
-    analyze.add_argument("--cache", action="store_true",
-                         help="reuse/persist results in the default "
-                              "cache dir (~/.cache/repro)")
-    analyze.add_argument("--cache-dir", default=None,
-                         help="cache directory (implies --cache)")
 
     analyses_cmd = commands.add_parser(
         "analyses",
@@ -127,7 +148,8 @@ def _build_parser() -> argparse.ArgumentParser:
     tables.add_argument("--timeout", type=float, default=10.0)
 
     bench = commands.add_parser(
-        "bench", help="run the benchmark matrix in parallel")
+        "bench", parents=[cache],
+        help="run the benchmark matrix in parallel")
     bench.add_argument("--programs", default=None,
                        help="comma-separated program names "
                             "(default: whole suite + FJ examples)")
@@ -165,17 +187,13 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated value-domain modes: "
                             "interned, plain (default interned); "
                             "'plain,interned' benches before/after")
-    bench.add_argument("--cache", action="store_true",
-                       help="reuse/persist ok rows in the default "
-                            "cache dir (~/.cache/repro)")
-    bench.add_argument("--cache-dir", default=None,
-                       help="cache directory (implies --cache)")
     bench.add_argument("--output", default=None,
                        help="report path ('-' to skip writing; "
                             "default BENCH_<timestamp>.json)")
 
     serve = commands.add_parser(
-        "serve", help="run the persistent analysis server")
+        "serve", parents=[engine, cache],
+        help="run the persistent analysis server")
     serve.add_argument("--socket", default=None,
                        help="listen on this Unix socket path "
                             "instead of TCP")
@@ -195,14 +213,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="default per-job wall-clock budget in "
                             "seconds for requests that set none "
                             "(default 60)")
-    serve.add_argument("--cache", action="store_true",
-                       help="reuse/persist results in the default "
-                            "cache dir (~/.cache/repro)")
-    serve.add_argument("--cache-dir", default=None,
-                       help="cache directory (implies --cache)")
-    serve.add_argument("--no-specialize", action="store_true",
-                       help="run every job on the generic engine "
-                            "loop (results are byte-identical)")
     serve.add_argument("--ready-file", default=None,
                        help="write the bound endpoint (host:port or "
                             "socket path) here once listening")
@@ -248,37 +258,12 @@ def _build_parser() -> argparse.ArgumentParser:
                              "('-' for stdout)")
 
     submit = commands.add_parser(
-        "submit", help="submit a job to a running analysis server")
+        "submit", parents=[job, report, engine, connection],
+        help="submit a job to a running analysis server")
     submit.add_argument("file", nargs="?", default=None,
                         help="source path ('-' stdin); "
                              "optional with --server-stats or "
                              "--shutdown")
-    submit.add_argument("--analysis", default="mcfa", metavar="NAME",
-                        help="a registered analysis name "
-                             "(see `repro analyses`; default mcfa)")
-    submit.add_argument("-n", "--context", type=int, default=1,
-                        help="the k or m (default 1)")
-    submit.add_argument("--simplify", action="store_true",
-                        help="shrink-simplify the CPS term first")
-    submit.add_argument("--timeout", type=float, default=None,
-                        help="per-job wall-clock budget in seconds "
-                             "(default: the server's --job-timeout)")
-    submit.add_argument("--report",
-                        choices=list(REPORT_CHOICES), default="all")
-    submit.add_argument("--values", choices=list(VALUE_MODES),
-                        default="interned",
-                        help="value-domain representation "
-                             "(default interned)")
-    submit.add_argument("--socket", default=None,
-                        help="connect to this Unix socket path "
-                             "instead of TCP")
-    submit.add_argument("--host", default="127.0.0.1",
-                        help="server TCP address (default 127.0.0.1)")
-    submit.add_argument("--port", type=int, default=7557,
-                        help="server TCP port (default 7557)")
-    submit.add_argument("--no-specialize", action="store_true",
-                        help="ask for the generic engine loop "
-                             "(results are byte-identical)")
     submit.add_argument("--session", action="store_true",
                         help="open a warm analysis session on the "
                              "worker (prints its id on stderr for "
@@ -292,26 +277,11 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--shutdown", action="store_true",
                         help="ask the server to shut down cleanly "
                              "and exit")
-    submit.add_argument("--quiet", action="store_true",
-                        help="suppress streamed progress events on "
-                             "stderr")
-
-    def _connection_arguments(subparser):
-        subparser.add_argument("--socket", default=None,
-                               help="connect to this Unix socket "
-                                    "path instead of TCP")
-        subparser.add_argument("--host", default="127.0.0.1",
-                               help="server TCP address "
-                                    "(default 127.0.0.1)")
-        subparser.add_argument("--port", type=int, default=7557,
-                               help="server TCP port (default 7557)")
-        subparser.add_argument("--quiet", action="store_true",
-                               help="suppress streamed progress "
-                                    "events on stderr")
 
     edit = commands.add_parser(
-        "edit", help="incrementally re-analyze a warm session "
-                     "against an edited source")
+        "edit", parents=[connection],
+        help="incrementally re-analyze a warm session against an "
+             "edited source")
     edit.add_argument("session",
                       help="the session id a `submit --session` "
                            "printed")
@@ -319,13 +289,15 @@ def _build_parser() -> argparse.ArgumentParser:
     edit.add_argument("--timeout", type=float, default=None,
                       help="wall-clock budget in seconds (default: "
                            "the server's --job-timeout)")
-    _connection_arguments(edit)
 
     query = commands.add_parser(
-        "query", help="client-analysis queries: `query SESSION KIND "
-                      "[TARGET]` asks a warm session; `query FILE "
-                      "--kind KIND` runs a batch pass locally, no "
-                      "session or server needed")
+        "query", parents=[job, cache, connection],
+        help="client-analysis queries: `query SESSION KIND [TARGET]` "
+             "asks a warm session; `query FILE --kind KIND` runs a "
+             "batch pass locally, no session or server needed",
+        description="The analysis and cache options apply to batch "
+                    "mode; the connection options to the session "
+                    "form.")
     query.add_argument("session", metavar="SESSION|FILE",
                        help="a session id a `submit --session` "
                             "printed, or (with --kind) a source "
@@ -347,31 +319,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="TARGET",
                        help="batch mode: the query target (value-of "
                             "only)")
-    query.add_argument("--analysis", default="mcfa", metavar="NAME",
-                       help="batch mode: a registered analysis name "
-                            "(default mcfa)")
-    query.add_argument("-n", "--context", type=int, default=1,
-                       help="batch mode: the k or m (default 1)")
-    query.add_argument("--simplify", action="store_true",
-                       help="batch mode: shrink-simplify the CPS "
-                            "term first")
-    query.add_argument("--values", choices=list(VALUE_MODES),
-                       default="interned",
-                       help="batch mode: value-domain "
-                            "representation (default interned)")
-    query.add_argument("--timeout", type=float, default=None,
-                       help="batch mode: wall-clock budget in "
-                            "seconds")
     query.add_argument("--dot", default=None, metavar="PATH",
                        help="batch mode: also write the answer's "
                             "DOT export (call-graph only) to PATH")
-    query.add_argument("--cache", action="store_true",
-                       help="batch mode: reuse/persist results in "
-                            "the default cache dir (~/.cache/repro)")
-    query.add_argument("--cache-dir", default=None,
-                       help="batch mode: cache directory (implies "
-                            "--cache)")
-    _connection_arguments(query)
     return parser
 
 
@@ -391,20 +341,17 @@ def _validate_analysis_args(args) -> None:
                          values=args.values)
 
 
-def _cmd_analyze(args) -> int:
+def _run_local_job(args, spec) -> dict | None:
+    """The local job path ``analyze`` and ``query FILE --kind``
+    share: result-cache lookup, :func:`run_job`, cache write.  Prints
+    the job's stdout and returns its row (or cached payload); on a
+    failed job prints the error and returns ``None``.  With
+    ``--cache-dir``, generated modules live beside the relocated
+    result cache, in its ``codegen/``."""
     from repro.cache import open_cache
-    from repro.service.jobs import (
-        JobSpec, cache_payload, job_cache_key, run_job,
-    )
-    _validate_analysis_args(args)
-    spec = JobSpec(source=_read_source(args.file),
-                   analysis=args.analysis, context=args.context,
-                   simplify=args.simplify, report=args.report,
-                   values=args.values, timeout=args.timeout,
-                   specialize=not args.no_specialize).validate()
+    from repro.service.jobs import cache_payload, job_cache_key, run_job
     cache = open_cache(args.cache_dir, args.cache or args.cache_dir)
     if args.cache_dir:
-        # Keep generated modules beside the relocated result cache.
         from pathlib import Path
 
         from repro.analysis.codegen import set_default_codegen_cache
@@ -412,20 +359,30 @@ def _cmd_analyze(args) -> int:
         set_default_codegen_cache(
             CodegenCache(Path(args.cache_dir) / "codegen"))
     key = job_cache_key(spec) if cache is not None else None
-    if cache is not None:
-        payload = cache.get(key)
-        if payload is not None:
-            sys.stdout.write(payload["stdout"])
-            print("(cached result)", file=sys.stderr)
-            return 0
+    payload = cache.get(key) if cache is not None else None
+    if payload is not None:
+        sys.stdout.write(payload["stdout"])
+        print("(cached result)", file=sys.stderr)
+        return payload
     row = run_job(spec)
     if row["status"] != "ok":
         print(f"error: {row['error']}", file=sys.stderr)
-        return 1
+        return None
     sys.stdout.write(row["stdout"])
     if cache is not None:
         cache.put(key, cache_payload(row))
-    return 0
+    return row
+
+
+def _cmd_analyze(args) -> int:
+    from repro.service.jobs import JobSpec
+    _validate_analysis_args(args)
+    spec = JobSpec(source=_read_source(args.file),
+                   analysis=args.analysis, context=args.context,
+                   simplify=args.simplify, report=args.report,
+                   values=args.values, timeout=args.timeout,
+                   specialize=not args.no_specialize).validate()
+    return 0 if _run_local_job(args, spec) is not None else 1
 
 
 def _cmd_analyses(args) -> int:
@@ -800,11 +757,7 @@ def _cmd_query_batch(args) -> int:
     ``analyze``) and print the client pass's JSON answer — the exact
     bytes the service's sessionless query op streams as ``stdout``."""
     from repro.analysis.clients import validate_query
-    from repro.cache import open_cache
-    from repro.service.jobs import (
-        JobSpec, cache_payload, job_cache_key, run_job,
-        validate_job_options,
-    )
+    from repro.service.jobs import JobSpec, validate_job_options
     if args.kind is not None or args.target is not None:
         raise UsageError(
             "batch mode takes no positional KIND/TARGET; use --kind "
@@ -825,24 +778,11 @@ def _cmd_query_batch(args) -> int:
                    timeout=args.timeout,
                    query_kind=args.batch_kind,
                    query_target=args.batch_target).validate()
-    cache = open_cache(args.cache_dir, args.cache or args.cache_dir)
-    key = job_cache_key(spec) if cache is not None else None
-    payload = cache.get(key) if cache is not None else None
-    if payload is not None:
-        sys.stdout.write(payload["stdout"])
-        answer = payload.get("answer")
-        print("(cached result)", file=sys.stderr)
-    else:
-        row = run_job(spec)
-        if row["status"] != "ok":
-            print(f"error: {row['error']}", file=sys.stderr)
-            return 1
-        sys.stdout.write(row["stdout"])
-        answer = row.get("answer")
-        if cache is not None:
-            cache.put(key, cache_payload(row))
+    row = _run_local_job(args, spec)
+    if row is None:
+        return 1
     if args.dot is not None:
-        dot = (answer or {}).get("dot")
+        dot = (row.get("answer") or {}).get("dot")
         if not dot:
             print("error: answer carries no DOT export",
                   file=sys.stderr)

@@ -10,7 +10,8 @@ table cells report ∞ via :class:`~repro.errors.AnalysisTimeout`).
 
 Attributes resolve lazily (PEP 562): consulting the registry — which
 every front end does at startup — must not pay for the analyzer
-modules, whose import is deferred into the registered factories.
+modules, whose import is deferred into the registered machine
+constructors.
 """
 
 _LAZY = {
@@ -31,7 +32,7 @@ _LAZY = {
         "KCFAMachine", "KConfig", "Recorder", "analyze_kcfa",
         "analyze_kcfa_naive", "result_from_run")},
     **{name: "repro.analysis.flat_machine" for name in (
-        "FConfig", "FlatMachine", "analyze_flat", "mcfa_allocator",
+        "FConfig", "FlatMachine", "mcfa_allocator",
         "poly_kcfa_allocator")},
     "analyze_mcfa": "repro.analysis.mcfa",
     "analyze_poly_kcfa": "repro.analysis.polykcfa",

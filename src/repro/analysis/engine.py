@@ -169,9 +169,9 @@ class FixpointState:
 
 @dataclass
 class EngineRun(Generic[C]):
-    """What a driver hands back to the analyzer wrapper.
+    """What a driver hands back to the registry's analysis driver.
 
-    The wrapper turns this into its public result type
+    The driver turns this into its public result type
     (:class:`~repro.analysis.results.AnalysisResult` or
     :class:`~repro.fj.kcfa.FJResult`); the engine itself is agnostic
     about what was analyzed.

@@ -32,19 +32,12 @@ from typing import Callable
 from repro.cps.program import Program
 from repro.cps.syntax import Lam
 from repro.analysis.domains import FlatEnvAbs
-from repro.analysis.engine import EngineOptions, machine_path, \
-    run_single_store, specialize
-from repro.analysis.interning import PlainTable
-from repro.analysis.kernel import (
-    FConfig, FlatEnv, Kernel, Recorder, result_from_run,
-)
+from repro.analysis.kernel import FConfig, FlatEnv, Kernel
 from repro.analysis.policies import mcfa_allocator, poly_kcfa_allocator
-from repro.analysis.results import AnalysisResult
-from repro.util.budget import Budget
 
 __all__ = [
-    "EnvAllocator", "FConfig", "FlatMachine", "analyze_flat",
-    "mcfa_allocator", "poly_kcfa_allocator",
+    "EnvAllocator", "FConfig", "FlatMachine", "mcfa_allocator",
+    "poly_kcfa_allocator",
 ]
 
 #: alloc(call_label, caller_env, callee_lam, callee_env) -> new_env
@@ -57,24 +50,3 @@ class FlatMachine(Kernel):
 
     def __init__(self, program: Program, allocator: EnvAllocator):
         super().__init__(program, FlatEnv(allocator))
-
-
-def analyze_flat(program: Program, allocator: EnvAllocator,
-                 analysis: str, parameter: int,
-                 budget: Budget | None = None,
-                 plain: bool = False,
-                 specialized: bool = True) -> AnalysisResult:
-    """Run the flat machine to fixpoint with a single-threaded store.
-
-    ``specialized`` selects the kind's fast step loop
-    (:func:`~repro.analysis.engine.specialize`).  Results are
-    byte-identical either way — False is the escape hatch.
-    """
-    machine = specialize(FlatMachine(program, allocator), specialized)
-    run = run_single_store(
-        machine, Recorder(),
-        EngineOptions(budget=budget,
-                      table_factory=PlainTable if plain else None))
-    result = result_from_run(run, program, analysis, parameter)
-    result.engine_path = machine_path(machine)
-    return result

@@ -19,7 +19,7 @@ Reachability:
 
 ``analyze_kcfa_gc`` is the shared §3.6 naive driver
 (:func:`~repro.analysis.engine.run_naive`) with ``collect`` installed
-as the engine's GC policy; it reports the same
+as the engine's GC policy by the registry's ``naive+gc`` engine; it reports the same
 :class:`~repro.analysis.results.AnalysisResult` API.  ``collect`` and
 ``reachable_addresses`` are exposed for tests and for the
 flat-environment variant.
@@ -32,10 +32,8 @@ from typing import Iterable
 from repro.analysis.domains import (
     APair, Addr, FClo, FrozenStore, KClo,
 )
-from repro.analysis.engine import EngineOptions, run_naive
-from repro.analysis.kcfa import (
-    KCFAMachine, KConfig, Recorder, result_from_run,
-)
+from repro.analysis.kcfa import KConfig
+from repro.analysis.registry import run_analysis
 from repro.analysis.results import AnalysisResult
 from repro.cps.program import Program
 from repro.cps.syntax import free_vars_of_call, free_vars_of_lam
@@ -99,9 +97,4 @@ def analyze_kcfa_gc(program: Program, k: int = 1,
     are what make collection possible) with :func:`collect` as the
     engine's GC policy, so every state is collected before it expands.
     """
-    from repro.analysis.interning import PlainTable
-    run = run_naive(
-        KCFAMachine(program, k), Recorder(),
-        EngineOptions(budget=budget, collect=collect,
-                      table_factory=PlainTable if plain else None))
-    return result_from_run(run, program, "k-CFA+GC", k)
+    return run_analysis("kcfa-gc", program, k, budget, plain)

@@ -75,11 +75,9 @@ from repro.analysis.engine import (
 from repro.analysis.domains import AbsStore
 from repro.analysis.interning import PlainTable
 from repro.analysis.kernel import (
-    FConfig, KConfig, Kernel, Recorder, result_from_run,
+    KConfig, Kernel, Recorder, result_from_run,
 )
-from repro.analysis.policies import (
-    call_site_tick, mcfa_allocator, poly_kcfa_allocator,
-)
+from repro.analysis.registry import registry
 from repro.analysis.clients import (
     call_sites_of, escaping_point, parse_label, run_result_query,
     validate_query, value_of,
@@ -108,31 +106,6 @@ SESSION_ANALYSES = ("kcfa", "mcfa", "poly", "zero")
 #: Below this fraction of structurally shared labelled nodes the diff
 #: is judged too invasive and the edit takes the from-scratch path.
 KEPT_RATIO_FLOOR = 0.5
-
-_DISPLAY = {"kcfa": "k-CFA", "mcfa": "m-CFA", "poly": "poly-k-CFA",
-            "zero": "0CFA"}
-
-
-def build_session_machine(analysis: str, parameter: int,
-                          program: Program) -> Kernel:
-    """The generic (unspecialized) kernel for a session analysis.
-
-    Sessions always run the generic step loop: specialized machines
-    are trajectory-identical anyway, and the query layer needs the
-    kernel's ``evaluate``.
-    """
-    from repro.analysis.kernel import FlatEnv, SharedEnv
-    if analysis == "kcfa":
-        return Kernel(program, SharedEnv(call_site_tick(parameter)))
-    if analysis == "mcfa":
-        return Kernel(program, FlatEnv(mcfa_allocator(parameter)))
-    if analysis == "poly":
-        return Kernel(program, FlatEnv(poly_kcfa_allocator(parameter)))
-    if analysis == "zero":
-        return Kernel(program, FlatEnv(mcfa_allocator(0)))
-    raise UsageError(
-        f"analysis {analysis!r} does not support sessions; choose "
-        f"from {', '.join(SESSION_ANALYSES)}")
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +482,7 @@ class EditOutcome:
 class AnalysisSession:
     """One program's warm, editable, queryable analysis state."""
 
-    __slots__ = ("analysis", "parameter", "plain", "program",
+    __slots__ = ("analysis", "spec", "parameter", "plain", "program",
                  "machine", "store", "state", "boot_config", "result",
                  "edits", "resumed", "scratch", "_next_label")
 
@@ -520,7 +493,10 @@ class AnalysisSession:
                 f"analysis {analysis!r} does not support sessions; "
                 f"choose from {', '.join(SESSION_ANALYSES)}")
         self.analysis = analysis
-        self.parameter = parameter
+        self.spec = registry().get(analysis)
+        # As AnalysisSpec.run does: a context-free analysis records
+        # depth 0 whatever depth was asked for.
+        self.parameter = 0 if self.spec.context_free else parameter
         self.plain = plain
         self.edits = 0
         self.resumed = 0
@@ -535,13 +511,6 @@ class AnalysisSession:
         self._next_label += 1
         return label
 
-    def _package(self, run: EngineRun) -> AnalysisResult:
-        result = result_from_run(run, self.program,
-                                 _DISPLAY[self.analysis],
-                                 self.parameter)
-        result.engine_path = "generic"
-        return result
-
     def _adopt(self, program: Program, machine: Kernel,
                run: EngineRun) -> None:
         self.program = program
@@ -549,7 +518,8 @@ class AnalysisSession:
         self.store = run.store
         self.state = run.fixpoint
         self.boot_config = machine.rep.initial_config(program)
-        self.result = self._package(run)
+        self.result = result_from_run(run, program, self.spec.display,
+                                      self.parameter)
         self._next_label = max(self._next_label,
                                label_maximum(program.root) + 1)
 
@@ -559,8 +529,7 @@ class AnalysisSession:
         # must own a private copy — the caller's program may be the
         # worker-wide cached instance.
         program = clone_program(program)
-        machine = build_session_machine(self.analysis, self.parameter,
-                                        program)
+        machine = self.spec.machine(program, self.parameter, None)
         run = run_single_store(
             machine, Recorder(),
             EngineOptions(budget=budget, track=True,
@@ -610,8 +579,7 @@ class AnalysisSession:
     def _resume(self, diff: ProgramDiff,
                 budget: Budget | None) -> EditOutcome:
         program = diff.program
-        machine = build_session_machine(self.analysis, self.parameter,
-                                        program)
+        machine = self.spec.machine(program, self.parameter, None)
         boot = machine.rep.initial_config(program)
         state = self.state
         closure = affected_closure(state, diff, boot)

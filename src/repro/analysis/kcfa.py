@@ -15,7 +15,9 @@ This is the paper's §3.4–3.7 made executable:
 
 The transfer function itself lives in
 :class:`~repro.analysis.kernel.Kernel` — shared verbatim with the
-flat-environment analyses.  Both of the paper's engines drive it:
+flat-environment analyses — and the registry's one driver
+(:meth:`~repro.analysis.registry.AnalysisSpec.run`) runs it under
+either of the paper's engines:
 
 * :func:`analyze_kcfa` — the single-threaded-store worklist (§3.7,
   :func:`~repro.analysis.engine.run_single_store`) with
@@ -30,13 +32,11 @@ flat-environment analyses.  Both of the paper's engines drive it:
 from __future__ import annotations
 
 from repro.cps.program import Program
-from repro.analysis.engine import EngineOptions, machine_path, \
-    run_naive, run_single_store, specialize
-from repro.analysis.interning import PlainTable
 from repro.analysis.kernel import (
     KConfig, Kernel, Recorder, SharedEnv, result_from_run,
 )
 from repro.analysis.policies import call_site_tick
+from repro.analysis.registry import run_analysis
 from repro.analysis.results import AnalysisResult
 from repro.errors import UsageError
 from repro.util.budget import Budget
@@ -70,14 +70,8 @@ def analyze_kcfa(program: Program, k: int = 1,
     (for equivalence tests and before/after benchmarking);
     ``specialized`` selects the pre-bound shared-env step loop.
     """
-    machine = specialize(KCFAMachine(program, k), specialized)
-    run = run_single_store(
-        machine, Recorder(),
-        EngineOptions(budget=budget,
-                      table_factory=PlainTable if plain else None))
-    result = result_from_run(run, program, "k-CFA", k)
-    result.engine_path = machine_path(machine)
-    return result
+    return run_analysis("kcfa", program, k, budget, plain,
+                        specialize=specialized)
 
 
 def analyze_kcfa_naive(program: Program, k: int = 1,
@@ -89,8 +83,4 @@ def analyze_kcfa_naive(program: Program, k: int = 1,
     counts explode even for k = 0 — which is the paper's point.  Use
     only on small programs, with a budget.
     """
-    run = run_naive(
-        KCFAMachine(program, k), Recorder(),
-        EngineOptions(budget=budget,
-                      table_factory=PlainTable if plain else None))
-    return result_from_run(run, program, "k-CFA-naive", k)
+    return run_analysis("kcfa-naive", program, k, budget, plain)

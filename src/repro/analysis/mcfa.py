@@ -14,9 +14,8 @@ on.
 from __future__ import annotations
 
 from repro.cps.program import Program
-from repro.analysis.flat_machine import analyze_flat, mcfa_allocator
+from repro.analysis.registry import run_analysis
 from repro.analysis.results import AnalysisResult
-from repro.errors import UsageError
 from repro.util.budget import Budget
 
 
@@ -30,7 +29,5 @@ def analyze_mcfa(program: Program, m: int = 1,
     (Theorem 5.1): the configuration space is |Call| × |Call|^m and
     the store lattice has height |Var| × |Call|^m × |Lam| × |Call|^m.
     """
-    if m < 0:
-        raise UsageError(f"m must be non-negative, got {m}")
-    return analyze_flat(program, mcfa_allocator(m), "m-CFA", m, budget,
-                        plain=plain, specialized=specialized)
+    return run_analysis("mcfa", program, m, budget, plain,
+                        specialize=specialized)

@@ -12,9 +12,8 @@ example (§6) and our §6.2 table reproduce the degeneration to 0CFA.
 from __future__ import annotations
 
 from repro.cps.program import Program
-from repro.analysis.flat_machine import analyze_flat, poly_kcfa_allocator
+from repro.analysis.registry import run_analysis
 from repro.analysis.results import AnalysisResult
-from repro.errors import UsageError
 from repro.util.budget import Budget
 
 
@@ -23,8 +22,5 @@ def analyze_poly_kcfa(program: Program, k: int = 1,
                       plain: bool = False,
                       specialized: bool = True) -> AnalysisResult:
     """Run naive polynomial k-CFA to fixpoint."""
-    if k < 0:
-        raise UsageError(f"k must be non-negative, got {k}")
-    return analyze_flat(program, poly_kcfa_allocator(k),
-                        "poly-k-CFA", k, budget, plain=plain,
-                        specialized=specialized)
+    return run_analysis("poly", program, k, budget, plain,
+                        specialize=specialized)

@@ -19,12 +19,8 @@ records parameter 0 whatever depth the caller passes.
 from __future__ import annotations
 
 from repro.cps.program import Program
-from repro.analysis.engine import EngineOptions, machine_path, \
-    run_single_store, specialize
-from repro.analysis.interning import PlainTable
-from repro.analysis.kernel import (
-    FConfig, Kernel, Recorder, SummaryEnv, result_from_run,
-)
+from repro.analysis.kernel import FConfig, Kernel, SummaryEnv
+from repro.analysis.registry import run_analysis
 from repro.analysis.results import AnalysisResult
 from repro.util.budget import Budget
 
@@ -52,11 +48,5 @@ def analyze_pushdown(program: Program,
     path; the spec registers ``specialized=False`` to advertise that
     honestly.
     """
-    machine = specialize(SummaryMachine(program), specialized)
-    run = run_single_store(
-        machine, Recorder(),
-        EngineOptions(budget=budget,
-                      table_factory=PlainTable if plain else None))
-    result = result_from_run(run, program, "pushdown", 0)
-    result.engine_path = machine_path(machine)
-    return result
+    return run_analysis("pushdown", program, 0, budget, plain,
+                        specialize=specialized)

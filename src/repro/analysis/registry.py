@@ -3,18 +3,22 @@
 Each analysis in the repository — Scheme/CPS or Featherweight Java —
 is an :class:`AnalysisSpec`: a name, the policy axis that defines it
 (context abstraction, address allocation, environment representation),
-the engine that drives it, its complexity class per the paper, and a
-factory that runs it.  The ``analyze``/``submit`` job core
+the engine that drives it, its complexity class per the paper, and
+how to build its generic machine.  The paper's point is that these
+analyses are one specification differing only in environment
+representation and allocation policy (§3.4, §5.2, §6); accordingly
+there is one driver, :meth:`AnalysisSpec.run`, and each spec
+contributes only its machine.  The ``analyze``/``submit`` job core
 (:mod:`repro.service.jobs`), the bench matrix
-(:mod:`repro.benchsuite.runner`), the CLI (including the ``analyses``
-subcommand) and the docs-drift tests all dispatch off this table, so
-registering a spec here is the *only* step needed to expose a new
-analysis everywhere at once — there are no per-front-end dispatch
-tables left to edit.
+(:mod:`repro.benchsuite.runner`), incremental sessions, the CLI
+(including the ``analyses`` subcommand) and the docs-drift tests all
+dispatch off this table, so registering a spec here is the *only*
+step needed to expose a new analysis everywhere at once.
 
 The registry is populated lazily on first use (importing the analyzer
-modules is deferred into each spec's factory, so consulting the table
-stays cheap for worker processes that never run some analyses).
+modules is deferred into each spec's machine constructor, so
+consulting the table stays cheap for worker processes that never run
+some analyses).
 """
 
 from __future__ import annotations
@@ -30,11 +34,12 @@ from repro.errors import UsageError
 class AnalysisSpec:
     """One analysis as a data point on the kernel's policy axis.
 
-    ``factory(program, parameter, budget, plain, specialize,
-    obj_depth)`` runs the analysis; ``concrete`` names the concrete
-    machine mode the soundness property suite checks the analysis
-    against (``shared-history``, ``flat-stack``, ``flat-history``,
-    ``summary-stack`` for Scheme; ``fj`` for Featherweight Java).
+    ``machine(program, parameter, obj_depth)`` builds the analysis's
+    generic machine; :meth:`run` drives it.  ``concrete`` names the
+    concrete machine mode the soundness property suite checks the
+    analysis against (``shared-history``, ``flat-stack``,
+    ``flat-history``, ``summary-stack`` for Scheme; ``fj`` for
+    Featherweight Java).
 
     ``specialized`` is the registry's engine knob: with it on (the
     default) runs go through the per-policy specialization stage
@@ -46,7 +51,9 @@ class AnalysisSpec:
     covers (pushdown, the naive §3.6 drivers, the map-based and the
     receiver-sensitive FJ machines) register ``specialized=False``.
     ``takes_obj_depth`` marks the hybrid ladder: only those specs
-    accept the bench ``--obj-depth`` axis.
+    accept the bench ``--obj-depth`` axis.  ``context_free`` marks an
+    analysis with no depth to turn: its machine ignores the parameter
+    and its results record parameter 0.
     """
 
     name: str              # CLI name, e.g. "kcfa"
@@ -56,31 +63,67 @@ class AnalysisSpec:
     engine: str            # "single-store" | "naive" | "naive+gc"
     context: str           # the tick/alloc policy, in words
     complexity: str        # per the paper, e.g. "EXPTIME-complete"
-    factory: Callable      # (program, parameter, budget, plain, ...)
+    machine: Callable      # (program, parameter, obj_depth) -> machine
     concrete: str | None = None
     paper: str = ""        # section reference
     specialized: bool = True
     takes_obj_depth: bool = False
+    context_free: bool = False
 
     def run(self, program, parameter: int, budget=None,
             plain: bool = False, specialize: bool | None = None,
-            obj_depth: int | None = None):
+            obj_depth: int | None = None, machine=None):
         """Run this analysis; the parameter is the k/m/n depth.
+
+        The one driver behind every analysis: build the generic
+        machine (or take *machine*, prebuilt by a caller that varies
+        a policy the registry does not expose, such as FJ's
+        ``tick_policy``), pass it through the specialization stage,
+        run the spec's engine and package the result.
 
         ``specialize=None`` means the spec's own default; ``True``
         still runs the generic loop when the spec opted out.
         ``obj_depth`` is only legal on hybrid-ladder specs
         (:class:`~repro.errors.UsageError` otherwise).
         """
+        from repro.analysis import engine
+        from repro.analysis.interning import PlainTable
         if obj_depth is not None and not self.takes_obj_depth:
             raise UsageError(
                 f"analysis {self.name!r} has no obj-depth axis; "
                 f"--obj-depth applies only to "
                 f"{', '.join(_obj_depth_names()) or 'no registered analysis'}")
-        effective = self.specialized if specialize is None \
-            else (specialize and self.specialized)
-        return self.factory(program, parameter, budget, plain,
-                            specialize=effective, obj_depth=obj_depth)
+        if machine is None:
+            machine = self.machine(program, parameter, obj_depth)
+        machine = engine.specialize(
+            machine, self.specialized if specialize is None
+            else specialize and self.specialized)
+        if self.language == "fj":
+            from repro.fj.kcfa import _FJRecorder as Recorder
+            from repro.fj.kcfa import fj_result_from_run as package
+            tick_policy = (machine.policy.display,)
+        else:
+            from repro.analysis.kernel import Recorder
+            from repro.analysis.kernel import result_from_run as package
+            tick_policy = ()
+        collect = None
+        if self.engine == "naive+gc":
+            if self.language == "fj":
+                from repro.fj.gc import collect
+            else:
+                from repro.analysis.gc import collect
+        options = engine.EngineOptions(
+            budget=budget, collect=collect,
+            table_factory=PlainTable if plain else None)
+        if self.engine == "single-store":
+            run = engine.run_single_store(machine, Recorder(), options)
+        else:
+            run = engine.run_naive(machine, Recorder(), options)
+        result = package(run, program, self.display,
+                         0 if self.context_free else parameter,
+                         *tick_policy)
+        result.engine_path = engine.machine_path(machine)
+        return result
 
     def listing(self) -> dict:
         """The JSON-able registry row served by the ``analyses``
@@ -177,160 +220,155 @@ def registry() -> AnalysisRegistry:
 def run_analysis(name: str, program, parameter: int, budget=None,
                  plain: bool = False, language: str | None = None,
                  specialize: bool | None = None,
-                 obj_depth: int | None = None):
-    """Dispatch one analysis by registry name."""
+                 obj_depth: int | None = None, machine=None):
+    """Dispatch one analysis by registry name (see
+    :meth:`AnalysisSpec.run`)."""
     return registry().get(name, language).run(
         program, parameter, budget, plain, specialize=specialize,
-        obj_depth=obj_depth)
+        obj_depth=obj_depth, machine=machine)
 
 
 # -- the builtin analyses -------------------------------------------------
 #
 # Each declaration is the whole analysis: the kernel (or FJ machine)
-# plus a context policy.  Factories import lazily so that touching the
-# registry never pays for analyzer modules it does not run.
+# plus a context policy.  Machine constructors import lazily so that
+# touching the registry never pays for analyzer modules it does not
+# run.
+
+
+def _depth(name: str, value: int) -> int:
+    if value < 0:
+        raise UsageError(f"{name} must be non-negative, got {value}")
+    return value
+
+
+def _kcfa_machine(program, k, obj_depth):
+    from repro.analysis.kcfa import KCFAMachine
+    return KCFAMachine(program, k)
+
+
+def _flat_machine(program, allocator):
+    from repro.analysis.flat_machine import FlatMachine
+    return FlatMachine(program, allocator)
+
+
+def _mcfa_machine(program, m, obj_depth):
+    from repro.analysis.policies import mcfa_allocator
+    return _flat_machine(program, mcfa_allocator(_depth("m", m)))
+
+
+def _poly_machine(program, k, obj_depth):
+    from repro.analysis.policies import poly_kcfa_allocator
+    return _flat_machine(program, poly_kcfa_allocator(_depth("k", k)))
+
+
+def _zero_machine(program, parameter, obj_depth):
+    return _mcfa_machine(program, 0, None)
+
+
+def _pushdown_machine(program, parameter, obj_depth):
+    from repro.analysis.pushdown import SummaryMachine
+    return SummaryMachine(program)
+
+
+def _fj_kcfa_machine(program, k, obj_depth):
+    from repro.fj.kcfa import FJKCFAMachine
+    return FJKCFAMachine(program, k)
+
+
+def _fj_poly_machine(program, k, obj_depth):
+    from repro.fj.poly import FJPolyMachine
+    return FJPolyMachine(program, k)
+
+
+def _fj_flat_machine(program, policy):
+    from repro.fj.poly import FJFlatMachine
+    return FJFlatMachine(program, policy)
+
+
+def _fj_mcfa_machine(program, m, obj_depth):
+    from repro.analysis.policies import FJStack
+    return _fj_flat_machine(program, FJStack(_depth("m", m)))
+
+
+def _fj_hybrid_machine(program, n, obj_depth):
+    from repro.analysis.policies import FJHybrid
+    _depth("n", n)
+    obj_depth = 1 if obj_depth is None else obj_depth
+    if isinstance(obj_depth, bool) or not isinstance(obj_depth, int) \
+            or obj_depth < 0:
+        raise UsageError(
+            f"obj_depth must be a non-negative integer, got "
+            f"{obj_depth!r}")
+    return _fj_flat_machine(
+        program, FJHybrid(call_depth=n, obj_depth=obj_depth))
+
+
+def _fj_obj_machine(program, n, obj_depth):
+    from repro.analysis.policies import FJHybrid
+    return _fj_flat_machine(
+        program, FJHybrid(call_depth=0, obj_depth=_depth("n", n)))
 
 
 def _register_builtin(table: AnalysisRegistry) -> None:
-    # Factories take (program, parameter, budget, plain) positionally
-    # plus the keyword-only options AnalysisSpec.run threads through:
-    # ``specialize`` (resolved against the spec's knob) and
-    # ``obj_depth`` (hybrid ladder only — validated in run()).
-
-    def kcfa(program, parameter, budget, plain, *, specialize=True,
-             obj_depth=None):
-        from repro.analysis.kcfa import analyze_kcfa
-        return analyze_kcfa(program, parameter, budget, plain=plain,
-                            specialized=specialize)
-
-    def mcfa(program, parameter, budget, plain, *, specialize=True,
-             obj_depth=None):
-        from repro.analysis.mcfa import analyze_mcfa
-        return analyze_mcfa(program, parameter, budget, plain=plain,
-                            specialized=specialize)
-
-    def poly(program, parameter, budget, plain, *, specialize=True,
-             obj_depth=None):
-        from repro.analysis.polykcfa import analyze_poly_kcfa
-        return analyze_poly_kcfa(program, parameter, budget,
-                                 plain=plain, specialized=specialize)
-
-    def zero(program, parameter, budget, plain, *, specialize=True,
-             obj_depth=None):
-        from repro.analysis.zerocfa import analyze_zerocfa
-        return analyze_zerocfa(program, budget, plain=plain,
-                               specialized=specialize)
-
-    def pushdown(program, parameter, budget, plain, *,
-                 specialize=True, obj_depth=None):
-        from repro.analysis.pushdown import analyze_pushdown
-        return analyze_pushdown(program, budget, plain=plain,
-                                specialized=specialize)
-
-    def kcfa_gc(program, parameter, budget, plain, *,
-                specialize=True, obj_depth=None):
-        from repro.analysis.gc import analyze_kcfa_gc
-        return analyze_kcfa_gc(program, parameter, budget, plain=plain)
-
-    def kcfa_naive(program, parameter, budget, plain, *,
-                   specialize=True, obj_depth=None):
-        from repro.analysis.kcfa import analyze_kcfa_naive
-        return analyze_kcfa_naive(program, parameter, budget,
-                                  plain=plain)
-
-    def fj_kcfa(program, parameter, budget, plain, *,
-                specialize=True, obj_depth=None):
-        from repro.fj.kcfa import analyze_fj_kcfa
-        return analyze_fj_kcfa(program, parameter, budget=budget,
-                               plain=plain)
-
-    def fj_poly(program, parameter, budget, plain, *,
-                specialize=True, obj_depth=None):
-        from repro.fj.poly import analyze_fj_poly
-        return analyze_fj_poly(program, parameter, budget=budget,
-                               plain=plain, specialized=specialize)
-
-    def fj_kcfa_gc(program, parameter, budget, plain, *,
-                   specialize=True, obj_depth=None):
-        from repro.fj.gc import analyze_fj_kcfa_gc
-        return analyze_fj_kcfa_gc(program, parameter, budget=budget,
-                                  plain=plain)
-
-    def fj_mcfa(program, parameter, budget, plain, *,
-                specialize=True, obj_depth=None):
-        from repro.fj.mcfa import analyze_fj_mcfa
-        return analyze_fj_mcfa(program, parameter, budget=budget,
-                               plain=plain, specialized=specialize)
-
-    def fj_hybrid(program, parameter, budget, plain, *,
-                  specialize=True, obj_depth=None):
-        from repro.fj.hybrid import analyze_fj_hybrid
-        return analyze_fj_hybrid(
-            program, parameter,
-            obj_depth=1 if obj_depth is None else obj_depth,
-            budget=budget, plain=plain, specialized=specialize)
-
-    def fj_obj(program, parameter, budget, plain, *,
-               specialize=True, obj_depth=None):
-        from repro.fj.hybrid import analyze_fj_obj
-        return analyze_fj_obj(program, parameter, budget=budget,
-                              plain=plain, specialized=specialize)
-
     table.register(AnalysisSpec(
         name="kcfa", display="k-CFA", language="scheme",
         env_rep="shared", engine="single-store",
         context="tick: last k call sites; alloc: (var, time)",
-        complexity="EXPTIME-complete (k >= 1)", factory=kcfa,
+        complexity="EXPTIME-complete (k >= 1)", machine=_kcfa_machine,
         concrete="shared-history", paper="§3.4–3.7"))
     table.register(AnalysisSpec(
         name="mcfa", display="m-CFA", language="scheme",
         env_rep="flat", engine="single-store",
         context="alloc: top-m stack frames, continuations restore",
-        complexity="PTIME", factory=mcfa,
+        complexity="PTIME", machine=_mcfa_machine,
         concrete="flat-stack", paper="§5.2–5.3"))
     table.register(AnalysisSpec(
         name="poly", display="poly-k-CFA", language="scheme",
         env_rep="flat", engine="single-store",
         context="alloc: last k call sites (every call rotates)",
-        complexity="PTIME", factory=poly,
+        complexity="PTIME", machine=_poly_machine,
         concrete="flat-history", paper="§6"))
     table.register(AnalysisSpec(
         name="zero", display="0CFA", language="scheme",
         env_rep="flat", engine="single-store",
         context="no context: [m=0]CFA == [k=0]CFA",
-        complexity="PTIME", factory=zero,
-        concrete="flat-stack", paper="§5.3"))
+        complexity="PTIME", machine=_zero_machine,
+        concrete="flat-stack", paper="§5.3", context_free=True))
     table.register(AnalysisSpec(
         name="pushdown", display="pushdown", language="scheme",
         env_rep="summary", engine="single-store",
         context="entry summaries keyed on argument values; "
                 "call-edge tables, continuations restore frames",
-        complexity="PTIME (polynomial entry table)", factory=pushdown,
+        complexity="PTIME (polynomial entry table)",
+        machine=_pushdown_machine,
         concrete="summary-stack", paper="§6 / CFA2",
         # The specializer has no compiled step loop for the summary
         # rep yet; register the knob honestly (the analyses listing
         # and the bench --specialize axis must not advertise a path
         # that cannot run) — asserted in tests/test_pushdown.py.
-        specialized=False))
+        specialized=False, context_free=True))
     table.register(AnalysisSpec(
         name="kcfa-gc", display="k-CFA+GC", language="scheme",
         env_rep="shared", engine="naive+gc",
         context="tick: last k call sites; abstract GC per transition",
-        complexity="EXPTIME (per-state stores)", factory=kcfa_gc,
+        complexity="EXPTIME (per-state stores)",
+        machine=_kcfa_machine,
         concrete="shared-history", paper="§8 / ΓCFA",
         specialized=False))
     table.register(AnalysisSpec(
         name="kcfa-naive", display="k-CFA-naive", language="scheme",
         env_rep="shared", engine="naive",
         context="tick: last k call sites; reachable-states driver",
-        complexity="EXPTIME even for k=0", factory=kcfa_naive,
+        complexity="EXPTIME even for k=0", machine=_kcfa_machine,
         concrete="shared-history", paper="§3.6",
         specialized=False))
     table.register(AnalysisSpec(
         name="fj-kcfa", display="FJ-k-CFA", language="fj",
         env_rep="shared", engine="single-store",
         context="tick: last k labels at invocations (Figure 9)",
-        complexity="PTIME (objects close flat)", factory=fj_kcfa,
+        complexity="PTIME (objects close flat)",
+        machine=_fj_kcfa_machine,
         concrete="fj", paper="§4.3",
         # The map-based Figure 9 machine has no specialization yet
         # (see ROADMAP); register the knob honestly so the analyses
@@ -341,19 +379,19 @@ def _register_builtin(table: AnalysisRegistry) -> None:
         name="fj-poly", display="FJ-poly-k-CFA", language="fj",
         env_rep="flat", engine="single-store",
         context="benv collapsed to its time (BEnv ~ Time)",
-        complexity="PTIME", factory=fj_poly,
+        complexity="PTIME", machine=_fj_poly_machine,
         concrete="fj", paper="§4.4"))
     table.register(AnalysisSpec(
         name="fj-kcfa-gc", display="FJ-k-CFA+GC", language="fj",
         env_rep="shared", engine="naive+gc",
         context="Figure 9 ticks; abstract GC per transition",
-        complexity="per-state stores", factory=fj_kcfa_gc,
+        complexity="per-state stores", machine=_fj_kcfa_machine,
         concrete="fj", paper="§8", specialized=False))
     table.register(AnalysisSpec(
         name="fj-mcfa", display="FJ-m-CFA", language="fj",
         env_rep="flat", engine="single-store",
         context="top-m stack frames; this re-bound by field copying",
-        complexity="PTIME", factory=fj_mcfa,
+        complexity="PTIME", machine=_fj_mcfa_machine,
         concrete="fj", paper="§5 transplanted to §4",
         # Receiver-sensitive flat FJ: per-receiver times mean the
         # per-statement addresses are not compile-time constants, so
@@ -364,13 +402,13 @@ def _register_builtin(table: AnalysisRegistry) -> None:
         name="fj-hybrid", display="FJ-hybrid", language="fj",
         env_rep="flat", engine="single-store",
         context="receiver alloc site + last call sites (ladder)",
-        complexity="PTIME", factory=fj_hybrid,
+        complexity="PTIME", machine=_fj_hybrid_machine,
         concrete="fj", paper="§8 (object sensitivity)",
         specialized=False, takes_obj_depth=True))
     table.register(AnalysisSpec(
         name="fj-obj", display="FJ-obj", language="fj",
         env_rep="flat", engine="single-store",
         context="receiver allocation chain, depth n (obj^n)",
-        complexity="PTIME", factory=fj_obj,
+        complexity="PTIME", machine=_fj_obj_machine,
         concrete="fj", paper="§8 (object sensitivity)",
         specialized=False))

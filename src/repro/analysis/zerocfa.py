@@ -14,7 +14,7 @@ sets, which is a strong cross-validation of the two machines.
 from __future__ import annotations
 
 from repro.cps.program import Program
-from repro.analysis.flat_machine import analyze_flat, mcfa_allocator
+from repro.analysis.registry import run_analysis
 from repro.analysis.results import AnalysisResult
 from repro.util.budget import Budget
 
@@ -30,5 +30,5 @@ def analyze_zerocfa(program: Program,
     (:class:`~repro.analysis.specialize.ZeroFlatKernel`): no context
     tuples, no free-variable copy reads, addresses pre-resolved.
     """
-    return analyze_flat(program, mcfa_allocator(0), "0CFA", 0, budget,
-                        plain=plain, specialized=specialized)
+    return run_analysis("zero", program, 0, budget, plain,
+                        specialize=specialized)

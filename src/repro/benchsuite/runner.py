@@ -37,15 +37,14 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable
 
+from repro.analysis.registry import run_analysis
 from repro.errors import AnalysisTimeout, UsageError
 # The analysis names, value modes and per-analysis dispatch are owned
-# by the central registry (via the shared job core) so that ``bench``
-# workers and the analysis service run literally the same code path —
-# a newly registered analysis is benchable with no edits here.
-from repro.service.jobs import (
-    FJ_ANALYSES, SCHEME_ANALYSES, VALUE_MODES, run_fj_analysis,
-    run_scheme_analysis,
-)
+# by the central registry (names via the shared job core) so that
+# ``bench`` workers and the analysis service run literally the same
+# code path — a newly registered analysis is benchable with no edits
+# here.
+from repro.service.jobs import FJ_ANALYSES, SCHEME_ANALYSES, VALUE_MODES
 from repro.util.budget import Budget
 
 #: Builtin analyses (import-time snapshot; see the jobs.py caveat —
@@ -180,7 +179,8 @@ def task_source(task: BenchTask) -> str:
     return ALL_EXAMPLES[task.program]
 
 
-def _best_of(task: BenchTask, budget: Budget, run_once) -> dict:
+def _best_of(task: BenchTask, budget: Budget, program,
+             language: str) -> dict:
     """Run a cell ``task.repeat`` times; keep the summary of the
     fastest run (its ``elapsed`` is the reported timing).
 
@@ -192,7 +192,11 @@ def _best_of(task: BenchTask, budget: Budget, run_once) -> dict:
     best = None
     for _ in range(max(1, task.repeat)):
         budget.start()
-        result = run_once()
+        result = run_analysis(
+            task.analysis, program, task.parameter, budget,
+            plain=task.values == "plain", language=language,
+            specialize=task.specialize != "off",
+            obj_depth=task.obj_depth)
         if best is None or result.elapsed < best.elapsed:
             best = result
     summary = best.summary()
@@ -211,11 +215,7 @@ def _run_scheme_task(task: BenchTask, budget: Budget) -> dict:
         program = scaled_program(task.program, task.copies)
     else:
         program = BY_NAME[task.program].compile()
-    return _best_of(task, budget, lambda: run_scheme_analysis(
-        program, task.analysis, task.parameter, budget,
-        plain=task.values == "plain",
-        specialize=task.specialize != "off",
-        obj_depth=task.obj_depth))
+    return _best_of(task, budget, program, "scheme")
 
 
 def _run_fj_task(task: BenchTask, budget: Budget) -> dict:
@@ -232,11 +232,7 @@ def _run_fj_task(task: BenchTask, budget: Budget) -> dict:
             fj_random_seed(task.program)))
     else:
         program = parse_fj(ALL_EXAMPLES[task.program])
-    return _best_of(task, budget, lambda: run_fj_analysis(
-        program, task.analysis, task.parameter, budget,
-        plain=task.values == "plain",
-        specialize=task.specialize != "off",
-        obj_depth=task.obj_depth))
+    return _best_of(task, budget, program, "fj")
 
 
 def run_task(task: BenchTask) -> dict:
@@ -364,7 +360,7 @@ def build_matrix(programs: Iterable[str], analyses: Iterable[str],
             for parameter in contexts:
                 # Context-free analyses (0CFA, the pushdown summary
                 # rep) have no context knob; emit each once.
-                if analysis in ("zero", "pushdown") \
+                if table.get(analysis).context_free \
                         and parameter != min(contexts):
                     continue
                 for obj_depth in (depth_axis if depth_axis is not None

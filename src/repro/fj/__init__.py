@@ -5,8 +5,8 @@ that is exponential for CPS is polynomial here, because object records
 close all their fields in one context.
 
 Attributes resolve lazily (PEP 562, like :mod:`repro` and
-:mod:`repro.analysis`): a registry factory importing one FJ analyzer
-must not load all of them.
+:mod:`repro.analysis`): a registry machine constructor importing one
+FJ analyzer must not load all of them.
 """
 
 _LAZY = {

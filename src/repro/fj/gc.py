@@ -24,11 +24,10 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.analysis.domains import FrozenStore
-from repro.analysis.engine import EngineOptions, run_naive
+from repro.analysis.registry import run_analysis
 from repro.fj.class_table import FJProgram
 from repro.fj.kcfa import (
     AKont, AObj, FJConfig, FJKCFAMachine, FJResult, HALT_PTR,
-    _FJRecorder, fj_result_from_run,
 )
 from repro.util.budget import Budget
 
@@ -82,10 +81,5 @@ def analyze_fj_kcfa_gc(program: FJProgram, k: int = 1,
                        budget: Budget | None = None,
                        plain: bool = False) -> FJResult:
     """OO k-CFA with abstract garbage collection at every transition."""
-    from repro.analysis.interning import PlainTable
-    run = run_naive(
-        FJKCFAMachine(program, k, tick_policy), _FJRecorder(),
-        EngineOptions(budget=budget, collect=collect,
-                      table_factory=PlainTable if plain else None))
-    return fj_result_from_run(run, program, "FJ-k-CFA+GC", k,
-                              tick_policy)
+    return run_analysis("fj-kcfa-gc", program, k, budget, plain,
+                        machine=FJKCFAMachine(program, k, tick_policy))

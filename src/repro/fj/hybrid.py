@@ -26,11 +26,9 @@ the ladder are the parameter n (and, for custom policies,
 
 from __future__ import annotations
 
-from repro.analysis.policies import FJHybrid
+from repro.analysis.registry import run_analysis
 from repro.fj.class_table import FJProgram
 from repro.fj.kcfa import FJResult
-from repro.fj.poly import FJFlatMachine, run_flat_policy
-from repro.errors import UsageError
 from repro.util.budget import Budget
 
 
@@ -47,17 +45,8 @@ def analyze_fj_hybrid(program: FJProgram, n: int = 1,
     ``bench --obj-depth``) reports a one-line message and exits 2
     instead of leaking a traceback.
     """
-    if n < 0:
-        raise UsageError(f"n must be non-negative, got {n}")
-    if isinstance(obj_depth, bool) or not isinstance(obj_depth, int) \
-            or obj_depth < 0:
-        raise UsageError(
-            f"obj_depth must be a non-negative integer, got "
-            f"{obj_depth!r}")
-    return run_flat_policy(
-        FJFlatMachine(program, FJHybrid(call_depth=n,
-                                        obj_depth=obj_depth)),
-        "FJ-hybrid", n, budget, plain, specialized)
+    return run_analysis("fj-hybrid", program, n, budget, plain,
+                        specialize=specialized, obj_depth=obj_depth)
 
 
 def analyze_fj_obj(program: FJProgram, n: int = 1,
@@ -66,8 +55,5 @@ def analyze_fj_obj(program: FJProgram, n: int = 1,
                    specialized: bool = True) -> FJResult:
     """Run pure object sensitivity (obj^n): the context window is the
     receiver's allocation chain alone."""
-    if n < 0:
-        raise UsageError(f"n must be non-negative, got {n}")
-    return run_flat_policy(
-        FJFlatMachine(program, FJHybrid(call_depth=0, obj_depth=n)),
-        "FJ-obj", n, budget, plain, specialized)
+    return run_analysis("fj-obj", program, n, budget, plain,
+                        specialize=specialized)

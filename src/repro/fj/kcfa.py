@@ -23,8 +23,8 @@ from dataclasses import dataclass, field as dataclass_field
 from typing import Iterable, Iterator
 
 from repro.analysis.domains import AbsStore
-from repro.analysis.engine import EngineOptions, EngineRun, \
-    run_single_store
+from repro.analysis.engine import EngineRun
+from repro.analysis.registry import run_analysis
 from repro.fj.class_table import FJProgram
 from repro.fj.concrete import TICK_POLICIES
 from repro.fj.syntax import (
@@ -458,9 +458,5 @@ def analyze_fj_kcfa(program: FJProgram, k: int = 1,
                     budget: Budget | None = None,
                     plain: bool = False) -> FJResult:
     """Run OO k-CFA with the single-threaded store."""
-    from repro.analysis.interning import PlainTable
-    run = run_single_store(
-        FJKCFAMachine(program, k, tick_policy), _FJRecorder(),
-        EngineOptions(budget=budget,
-                      table_factory=PlainTable if plain else None))
-    return fj_result_from_run(run, program, "FJ-k-CFA", k, tick_policy)
+    return run_analysis("fj-kcfa", program, k, budget, plain,
+                        machine=FJKCFAMachine(program, k, tick_policy))

@@ -18,16 +18,14 @@ Complexity is polynomial for any fixed m: configurations are
 |Stmt| × |Label|^m and the store lattice has height
 |Name| × |Label|^m × |Val|.  Before the kernel refactor this analysis
 would have been a ninth hand-copied machine; now it is one policy
-value (see :mod:`repro.analysis.policies`) plus this wrapper.
+value (see :mod:`repro.analysis.policies`) plus its registry entry.
 """
 
 from __future__ import annotations
 
-from repro.analysis.policies import FJStack
+from repro.analysis.registry import run_analysis
 from repro.fj.class_table import FJProgram
 from repro.fj.kcfa import FJResult
-from repro.fj.poly import FJFlatMachine, run_flat_policy
-from repro.errors import UsageError
 from repro.util.budget import Budget
 
 
@@ -36,7 +34,5 @@ def analyze_fj_mcfa(program: FJProgram, m: int = 1,
                     plain: bool = False,
                     specialized: bool = True) -> FJResult:
     """Run FJ m-CFA (stack-frame contexts, field copying) to fixpoint."""
-    if m < 0:
-        raise UsageError(f"m must be non-negative, got {m}")
-    return run_flat_policy(FJFlatMachine(program, FJStack(m)),
-                           "FJ-m-CFA", m, budget, plain, specialized)
+    return run_analysis("fj-mcfa", program, m, budget, plain,
+                        specialize=specialized)

@@ -42,14 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.domains import AbsStore
-from repro.analysis.engine import EngineOptions, machine_path, \
-    run_single_store, specialize
 from repro.analysis.policies import FJCallSite, FJContextPolicy
+from repro.analysis.registry import run_analysis
 from repro.fj.class_table import FJProgram
 from repro.fj.concrete import TICK_POLICIES
-from repro.fj.kcfa import (
-    HALT_PTR, FJResult, _FJRecorder, fj_result_from_run,
-)
+from repro.fj.kcfa import HALT_PTR, FJResult, _FJRecorder
 from repro.fj.syntax import (
     Assign, Cast, FieldAccess, Invoke, Method, New, Return, Stmt,
     VarExp,
@@ -388,37 +385,12 @@ class FJPolyMachine(FJFlatMachine):
         self.tick_policy = tick_policy
 
 
-def run_flat_policy(machine: FJFlatMachine, display: str,
-                    parameter: int, budget: Budget | None = None,
-                    plain: bool = False,
-                    specialized: bool = True) -> FJResult:
-    """Drive one flat FJ machine to fixpoint and package the result —
-    the single run harness behind every flat-machine analysis
-    (``fj-poly``, ``fj-mcfa``, ``fj-hybrid``, ``fj-obj``).
-
-    ``specialized`` routes the machine through the specialization
-    stage: receiver-insensitive context-free policies get generated
-    per-statement step source (:mod:`repro.analysis.codegen`),
-    everything else runs generic.
-    """
-    from repro.analysis.interning import PlainTable
-    machine = specialize(machine, specialized)
-    run = run_single_store(
-        machine, _FJRecorder(),
-        EngineOptions(budget=budget,
-                      table_factory=PlainTable if plain else None))
-    result = fj_result_from_run(run, machine.program, display,
-                                parameter, machine.policy.display)
-    result.engine_path = machine_path(machine)
-    return result
-
-
 def analyze_fj_poly(program: FJProgram, k: int = 1,
                     tick_policy: str = "invocation",
                     budget: Budget | None = None,
                     plain: bool = False,
                     specialized: bool = True) -> FJResult:
     """Run the collapsed polynomial OO k-CFA."""
-    return run_flat_policy(FJPolyMachine(program, k, tick_policy),
-                           "FJ-poly-k-CFA", k, budget, plain,
-                           specialized)
+    return run_analysis("fj-poly", program, k, budget, plain,
+                        specialize=specialized,
+                        machine=FJPolyMachine(program, k, tick_policy))

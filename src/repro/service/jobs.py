@@ -75,28 +75,6 @@ VALUE_MODES = ("interned", "plain")
 REPORT_CHOICES = ("flow", "inlining", "envs", "all")
 
 
-def run_scheme_analysis(program, analysis: str, parameter: int,
-                        budget: Budget | None = None,
-                        plain: bool = False,
-                        specialize: bool | None = None,
-                        obj_depth: int | None = None):
-    """Dispatch one Scheme analysis via the registry."""
-    return run_analysis(analysis, program, parameter, budget,
-                        plain=plain, language="scheme",
-                        specialize=specialize, obj_depth=obj_depth)
-
-
-def run_fj_analysis(program, analysis: str, parameter: int,
-                    budget: Budget | None = None,
-                    plain: bool = False,
-                    specialize: bool | None = None,
-                    obj_depth: int | None = None):
-    """Dispatch one Featherweight Java analysis via the registry."""
-    return run_analysis(analysis, program, parameter, budget,
-                        plain=plain, language="fj",
-                        specialize=specialize, obj_depth=obj_depth)
-
-
 def validate_job_options(analysis: str, context: int,
                          simplify: bool = False, report: str = "all",
                          values: str = "interned"):
@@ -523,17 +501,13 @@ def run_job(spec: JobSpec, programs=None) -> dict:
             raise AnalysisTimeout(
                 f"analysis exceeded time budget of "
                 f"{spec.timeout}s", elapsed=budget.elapsed)
+        result = run_analysis(
+            spec.analysis, program, spec.context, budget,
+            plain=spec.values == "plain", language=language,
+            specialize=spec.specialize)
         if language == "fj":
-            result = run_fj_analysis(
-                program, spec.analysis, spec.context, budget,
-                plain=spec.values == "plain",
-                specialize=spec.specialize)
             row["stdout"] = render_fj_reports(program, result)
         else:
-            result = run_scheme_analysis(
-                program, spec.analysis, spec.context, budget,
-                plain=spec.values == "plain",
-                specialize=spec.specialize)
             row["stdout"] = render_reports(program, result,
                                            spec.report)
         if spec.query_kind is not None:

@@ -203,7 +203,14 @@ def submit_spec(message: dict) -> JobSpec:
         raise ProtocolError(
             f"unknown submit field(s) {', '.join(unknown)}; allowed: "
             f"{', '.join(sorted(SUBMIT_FIELDS))}")
-    source = _read_source(message, "submit")
+    return _job_spec(message, _read_source(message, "submit"))
+
+
+def _job_spec(message: dict, source: str, **query) -> JobSpec:
+    """The job fields ``submit`` and the sessionless ``query`` share,
+    checked and validated into a :class:`JobSpec`; every option error
+    surfaces as :class:`ProtocolError`.  *query* carries the query
+    op's ``query_kind``/``query_target``."""
     simplify = message.get("simplify", False)
     if not isinstance(simplify, bool):
         raise ProtocolError(
@@ -220,7 +227,7 @@ def submit_spec(message: dict) -> JobSpec:
         report=message.get("report", "all"),
         values=message.get("values", "interned"),
         timeout=message.get("timeout"),
-        specialize=specialize)
+        specialize=specialize, **query)
     try:
         return spec.validate()
     except ProtocolError:
@@ -341,31 +348,8 @@ def query_job_spec(message: dict) -> JobSpec:
             f"query needs 'kind'; choose from "
             f"{', '.join(BATCH_KINDS)}")
     target = _query_target_of(message)
-    source = _read_source(message, "query")
-    simplify = message.get("simplify", False)
-    if not isinstance(simplify, bool):
-        raise ProtocolError(
-            f"simplify must be a JSON boolean, got {simplify!r}")
-    specialize = message.get("specialize", True)
-    if not isinstance(specialize, bool):
-        raise ProtocolError(
-            f"specialize must be a JSON boolean, got {specialize!r}")
-    spec = JobSpec(
-        source=source,
-        analysis=message.get("analysis", "mcfa"),
-        context=message.get("context", 1),
-        simplify=simplify,
-        values=message.get("values", "interned"),
-        timeout=message.get("timeout"),
-        specialize=specialize,
-        query_kind=kind,
-        query_target=target)
-    try:
-        return spec.validate()
-    except ProtocolError:
-        raise
-    except ReproError as error:
-        raise ProtocolError(str(error)) from None
+    return _job_spec(message, _read_source(message, "query"),
+                     query_kind=kind, query_target=target)
 
 
 def analyses_request_language(message: dict) -> str | None:

@@ -279,11 +279,11 @@ class TestInflightTable:
 class TestAnalyzeCLI:
     SOURCE = "(define (id x) x)\n(+ (id 3) (id 4))\n"
 
-    def run_analyze(self, tmp_path, capsys, *extra):
+    def run_analyze(self, tmp_path, capsys, *extra, command="analyze"):
         from repro.__main__ import main
         src = tmp_path / "p.scm"
         src.write_text(self.SOURCE, encoding="utf-8")
-        code = main(["analyze", str(src), "--analysis", "mcfa",
+        code = main([command, str(src), "--analysis", "mcfa",
                      "-n", "1", *extra])
         captured = capsys.readouterr()
         return code, captured.out
@@ -305,6 +305,28 @@ class TestAnalyzeCLI:
         self.run_analyze(tmp_path, capsys, "--cache-dir",
                          str(cache_dir))
         assert list(cache_dir.glob("*.json"))
+
+    @pytest.mark.parametrize("command", [
+        ["analyze"], ["query", "--kind", "call-graph"],
+    ], ids=["analyze", "query"])
+    def test_cache_dir_holds_generated_modules(self, tmp_path, capsys,
+                                               monkeypatch, command):
+        """``--cache-dir D`` puts generated step-loop modules in
+        ``D/codegen`` for every local job command, and nothing lands
+        in the default cache under ``XDG_CACHE_HOME``."""
+        from repro.analysis.codegen import set_default_codegen_cache
+        xdg = tmp_path / "xdg"
+        monkeypatch.setenv("XDG_CACHE_HOME", str(xdg))
+        # Resolve the codegen cache from the environment, as a fresh
+        # CLI process does (conftest restores its own afterwards).
+        set_default_codegen_cache(None)
+        cache_dir = tmp_path / "cache"
+        code, _out = self.run_analyze(
+            tmp_path, capsys, *command[1:], "--cache-dir",
+            str(cache_dir), command=command[0])
+        assert code == 0
+        assert list((cache_dir / "codegen").glob("*.py"))
+        assert not xdg.exists() or not any(xdg.rglob("*"))
 
 
 class TestBenchCLI:

@@ -112,9 +112,9 @@ def test_fj_report_bytes(name, analysis):
     from repro.fj import parse_fj
     from repro.fj.examples import ALL_EXAMPLES
     from repro.reporting import fj_report
-    from repro.service.jobs import run_fj_analysis
+    from repro.analysis.registry import run_analysis
 
     program = parse_fj(ALL_EXAMPLES[name])
-    result = run_fj_analysis(program, analysis, 1)
+    result = run_analysis(analysis, program, 1, language="fj")
     _check_golden(GOLDEN_DIR / f"fj.{name}.{analysis}.1.txt",
                   fj_report(result) + "\n")

@@ -250,11 +250,11 @@ class TestSessionBasics:
     @pytest.mark.parametrize("analysis", SESSION_ANALYSES)
     def test_initial_result_matches_registry_run(self, analysis):
         from repro.analysis.registry import run_analysis
-        parameter = 0 if analysis == "zero" else 1
         program = compile_program(SOURCE)
-        session = AnalysisSession(clone_program(program), analysis,
-                                  parameter)
-        direct = run_analysis(analysis, program, parameter)
+        # Depth 1 for 0CFA too: a context-free session must record
+        # depth 0, as a registry run does.
+        session = AnalysisSession(clone_program(program), analysis, 1)
+        direct = run_analysis(analysis, program, 1)
         want = dict(direct.summary())
         got = dict(session.result.summary())
         for summary in (want, got):

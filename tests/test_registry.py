@@ -4,8 +4,8 @@ Two families of checks:
 
 * *consistency* — every front end (job core, bench runner, CLI) reads
   its analysis names from the registry, unknown names raise
-  :class:`~repro.errors.UsageError`, and every registered factory
-  actually runs;
+  :class:`~repro.errors.UsageError`, and every registered machine
+  factory builds a machine the one driver runs;
 * *soundness property* — any registered Scheme policy must cover a
   concrete run on randomly generated programs (α-containment via the
   machinery of :mod:`repro.analysis.abstraction`), and any registered
@@ -68,6 +68,7 @@ class TestConsistency:
     def test_every_scheme_factory_runs(self, spec: AnalysisSpec,
                                        small_programs):
         _source, program = small_programs["identity"]
+        assert hasattr(spec.machine(program, 1, None), "step")
         result = spec.run(program, 1)
         assert result.analysis == spec.display
         assert result.halt_values
@@ -78,6 +79,7 @@ class TestConsistency:
         from repro.fj import parse_fj
         from repro.fj.examples import ALL_EXAMPLES
         program = parse_fj(ALL_EXAMPLES["pairs"])
+        assert hasattr(spec.machine(program, 1, None), "step")
         result = spec.run(program, 1)
         assert result.analysis == spec.display
         assert result.configs

@@ -15,13 +15,11 @@ import threading
 
 import pytest
 
+from repro.analysis.registry import run_analysis
 from repro.errors import ReproError
 from repro.fj import analyze_fj_kcfa, parse_fj
 from repro.fj.examples import PAIRS
-from repro.service.jobs import (
-    JobSpec, job_cache_key, run_fj_analysis, run_job,
-    run_scheme_analysis,
-)
+from repro.service.jobs import JobSpec, job_cache_key, run_job
 from repro.service.protocol import (
     MAX_LINE_BYTES, PROTOCOL_VERSION, ProtocolError, decode_message,
     encode_message, read_frame, read_messages, submit_spec,
@@ -146,27 +144,34 @@ class TestDispatch:
         from repro.scheme.cps_transform import compile_program
         program = compile_program(SOURCE)
         with pytest.raises(ReproError, match="unknown analysis"):
-            run_scheme_analysis(program, "super-cfa", 1)
+            run_analysis("super-cfa", program, 1, language="scheme")
+        with pytest.raises(ReproError,
+                           match="is a fj analysis, not scheme"):
+            run_analysis("fj-kcfa", program, 1, language="scheme")
 
     def test_unknown_fj_analysis(self):
         program = parse_fj(PAIRS)
         with pytest.raises(ReproError, match="unknown analysis"):
-            run_fj_analysis(program, "fj-super", 1)
+            run_analysis("fj-super", program, 1, language="fj")
+        with pytest.raises(ReproError,
+                           match="is a scheme analysis, not fj"):
+            run_analysis("kcfa", program, 1, language="fj")
 
     @pytest.mark.parametrize("analysis", ["fj-kcfa", "fj-poly",
                                           "fj-kcfa-gc"])
     def test_fj_dispatch_runs(self, analysis):
         program = parse_fj(PAIRS)
-        result = run_fj_analysis(program, analysis, 1)
+        result = run_analysis(analysis, program, 1, language="fj")
         assert result.configs
 
     def test_fj_dispatch_matches_direct_call(self):
         program = parse_fj(PAIRS)
-        via_jobs = run_fj_analysis(program, "fj-kcfa", 1).summary()
+        via_registry = run_analysis("fj-kcfa", program, 1,
+                                    language="fj").summary()
         direct = analyze_fj_kcfa(program, 1).summary()
-        via_jobs.pop("elapsed")
+        via_registry.pop("elapsed")
         direct.pop("elapsed")
-        assert via_jobs == direct
+        assert via_registry == direct
 
 
 class TestRunJob:
@@ -208,7 +213,8 @@ class TestRunJob:
         budget = Budget(max_seconds=1.0, check_every=1).start()
         budget._started_at -= 2.0  # the front end "burned" 2s
         with pytest.raises(AnalysisTimeout):
-            run_scheme_analysis(program, "kcfa", 1, budget)
+            run_analysis("kcfa", program, 1, budget,
+                         language="scheme")
 
     def test_key_is_stable_across_processes(self):
         # SHA-256 of canonical JSON: no PYTHONHASHSEED dependence.
